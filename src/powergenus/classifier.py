@@ -26,6 +26,11 @@ _GENUS_TWO_2GROUPS = ("[8,1]", "[16,7]", "[16,8]", "[16,9]")
 _PLANAR_ORDERS = frozenset({1, 2, 3, 4})
 _REDUCIBLE_ORDERS = frozenset({1, 2, 3, 4})
 
+#: The power graph of a cyclic group of order 6 is K6 minus two disjoint
+#: edges: nonplanar (13 > 3*6-6 edges) and a subgraph of K6, so its genus
+#: and crosscap are both exactly 1.
+_HEXAGON_GENUS = 1
+
 
 # ---------------------------------------------------------------------------
 # certificate trail
@@ -227,51 +232,40 @@ def _step(trail: list, rule_id: str, inputs: dict) -> CertificateStep:
 # reduction set
 # ---------------------------------------------------------------------------
 
-def _reduction_parts(g: FiniteGroup) -> list[ElementSet]:
-    """The cyclic subgroups of element order outside {1,2,3,4}."""
+def _reduction(g: FiniteGroup):
+    """The cyclic subgroups of element order outside {1,2,3,4}, the set of
+    their elements plus the identity, and the element orders outside it."""
     parts = []
     for k in sorted(set(int(v) for v in g.element_orders())):
         if k not in _REDUCIBLE_ORDERS:
             parts.extend(cyclic_subgroups_of_order(g, k))
-    return parts
+    members = {0}
+    for sub in parts:
+        members.update(sub.members)
+    orders = g.element_orders()
+    outside = {int(orders[x]) for x in range(g.order) if x not in members}
+    return parts, members, outside
 
 
 def reduction_set(g: FiniteGroup) -> ElementSet:
     """Union of all cyclic subgroups of order outside {1,2,3,4}, plus the
     identity; element orders outside the set are verified to lie in {2,3,4}.
     """
-    members = {0}
-    for sub in _reduction_parts(g):
-        members.update(sub.members)
-    orders = g.element_orders()
-    outside = {int(orders[x]) for x in range(g.order) if x not in members}
+    _, members, outside = _reduction(g)
     assert outside <= {2, 3, 4}
     return ElementSet(g, tuple(sorted(members)))
 
 
 def _reduction_inputs(g: FiniteGroup, surface: str, reduced_value: int) -> dict:
-    parts = _reduction_parts(g)
-    members = {0}
-    for sub in parts:
-        members.update(sub.members)
-    orders = g.element_orders()
-    outside = sorted({int(orders[x]) for x in range(g.order)
-                      if x not in members})
+    parts, members, outside = _reduction(g)
     return {
         "surface": surface,
         "subgroup_count": len(parts),
         "subgroup_orders": tuple(sorted(len(p) for p in parts)),
         "set_size": len(members),
-        "outside_spectrum": tuple(outside),
+        "outside_spectrum": tuple(sorted(outside)),
         "reduced_value": reduced_value,
     }
-
-
-def _hexagon_genus() -> int:
-    # The power graph of a cyclic group of order 6 is K6 minus two disjoint
-    # edges: nonplanar (13 > 3*6-6 edges) and a subgraph of K6, so its genus
-    # and crosscap are both exactly 1.
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +287,15 @@ def _match_catalog(g: FiniteGroup, labels) -> str | None:
 def _six_inputs(prof) -> dict:
     return {"six_count": prof.count,
             "pairwise_intersections": tuple(prof.pairwise_intersections)}
+
+
+def satisfies_table2(g: FiniteGroup) -> bool:
+    """Table 2's condition: spectrum within {1,2,3,4,6}, exactly three cyclic
+    subgroups of order 6, and two of them meeting in a subgroup of order 3."""
+    if not order_spectrum(g).subset_of({1, 2, 3, 4, 6}):
+        return False
+    prof = six_profile(g)
+    return prof.count == 3 and 3 in prof.pairwise_intersections
 
 
 def _has_disjoint_pairing(subs) -> bool:
@@ -349,7 +352,7 @@ def classify_orientable(g: FiniteGroup) -> Verdict:
     assert prof.count >= 1
     if prof.count == 1:
         _step(trail, "L2.5",
-              _reduction_inputs(g, "orientable", _hexagon_genus()))
+              _reduction_inputs(g, "orientable", _HEXAGON_GENUS))
         return Verdict("one", None, tuple(trail), orientable_value=1)
     if prof.count == 2:
         step = _step(trail, "L3.1", _six_inputs(prof))
@@ -357,9 +360,7 @@ def classify_orientable(g: FiniteGroup) -> Verdict:
     if prof.count == 3:
         step = _step(trail, "L4.3", _six_inputs(prof))
         if prof.all_pairwise_three():
-            label = _match_catalog(
-                g, [x for x in cat.TABLE2_LABELS
-                    if cat.get(x).order == g.order])
+            label = _match_catalog(g, cat.TABLE2_LABELS)
             if label is None:
                 raise InternalContradiction(
                     "three order-6 subgroups with all pairwise intersections "
@@ -421,7 +422,7 @@ def classify_nonorientable(g: FiniteGroup) -> Verdict:
     assert prof.count >= 1
     if prof.count == 1:
         _step(trail, "L2.5",
-              _reduction_inputs(g, "nonorientable", _hexagon_genus()))
+              _reduction_inputs(g, "nonorientable", _HEXAGON_GENUS))
         return Verdict(None, "one", tuple(trail), nonorientable_value=1)
     if prof.count == 2:
         step = _step(trail, "L3.1", _six_inputs(prof))
@@ -542,18 +543,11 @@ def _check_two_six() -> LemmaReport:
 
 
 def _check_table2() -> LemmaReport:
-    hits = []
-    for entry in cat.entries():
-        g = cat.get(entry.label)
-        if not order_spectrum(g).subset_of({1, 2, 3, 4, 6}):
-            continue
-        prof = six_profile(g)
-        if prof.count == 3 and any(k == 3 for k in prof.pairwise_intersections):
-            hits.append(entry.label)
+    hits = {e.label for e in cat.entries() if satisfies_table2(cat.get(e.label))}
     expected = set(cat.TABLE2_LABELS)
     return LemmaReport(
-        "T3.3", set(hits) == expected, len(cat.entries()),
-        tuple(sorted(set(hits) ^ expected)),
+        "T3.3", hits == expected, len(cat.entries()),
+        tuple(sorted(hits ^ expected)),
         "exactly the seven classified groups satisfy: spectrum within "
         "{1,2,3,4,6}, three cyclic order-6 subgroups, an order-3 intersection")
 

@@ -62,9 +62,7 @@ def _entries(args):
 def _build_group(args, expr: str) -> FiniteGroup:
     by_label = {e.label: e for e in _entries(args)}
     if expr in by_label:
-        ent = by_label[expr]
-        g = cat.build_recipe(ent.recipe)
-        return FiniteGroup(g.table, label=ent.label, validate=False)
+        return cat.build(by_label[expr])
     if expr.startswith("["):
         raise UnknownLabel(f"label {expr!r} not in catalog")
     return cat.build_recipe(expr)
@@ -157,19 +155,18 @@ def cmd_classify(args) -> int:
         ents = sorted(_entries(args), key=lambda e: (e.expected_order, e.label))
 
         def one(ent):
-            g = cat.build_recipe(ent.recipe)
-            g = FiniteGroup(g.table, label=ent.label, validate=False)
-            return ent.label, g, cls.classify(g)
+            g = cat.build(ent)
+            return g, cls.classify(g)
 
         with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
             results = list(pool.map(one, ents))
         lines = []
-        for label, g, v in results:
+        for g, v in results:
             if args.format == "records":
-                lines.append(cls.verdict_record(label, g, v))
+                lines.append(cls.verdict_record(g.label, g, v))
             else:
                 extra = f" [{v.table1_label}]" if v.table1_label else ""
-                lines.append(f"{label:12s} order {g.order:3d}  "
+                lines.append(f"{g.label:12s} order {g.order:3d}  "
                              f"orientable={v.orientable}{extra}  "
                              f"nonorientable={v.nonorientable}")
         _emit(args, lines)
@@ -192,24 +189,16 @@ def cmd_report(args) -> int:
                     + [f"witness: {w}" for w in r.witnesses])
         return EXIT_OK if r.passed else EXIT_ERROR
 
-    ents = _entries(args)
     rows = []
-    for ent in sorted(ents, key=lambda e: (e.expected_order, e.label)):
-        g = cat.build_recipe(ent.recipe)
-        g = FiniteGroup(g.table, label=ent.label, validate=False)
+    for ent in sorted(_entries(args), key=lambda e: (e.expected_order, e.label)):
+        g = cat.build(ent)
         spectrum = "{" + ",".join(map(str, sorted(order_spectrum(g).as_set))) + "}"
-        prof = six_profile(g)
         if args.target == "table1":
-            v = cls.classify_orientable(g)
-            if v.orientable == "two":
+            if cls.classify_orientable(g).orientable == "two":
                 rows.append(f"{ent.label:10s} {g.order:3d}  {spectrum}")
-        else:  # table2: the three-subgroup condition matrix
-            a = order_spectrum(g).subset_of({1, 2, 3, 4, 6})
-            b = prof.count == 3
-            c = b and any(k == 3 for k in prof.pairwise_intersections)
-            if a and b and c:
-                rows.append(f"{ent.label:10s} {g.order:3d}  {spectrum:14s} "
-                            f"six={prof.count} pairwise3=yes")
+        elif cls.satisfies_table2(g):  # table2: the three-subgroup condition
+            rows.append(f"{ent.label:10s} {g.order:3d}  {spectrum:14s} "
+                        "six=3 pairwise3=yes")
     _emit(args, rows)
     return EXIT_OK
 

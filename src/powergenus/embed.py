@@ -34,27 +34,14 @@ from .powergraph import Graph
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """Per-vertex cyclic orders of incident darts (orientable embedding)."""
+    """Per-vertex cyclic orders of incident darts, plus a +1/-1 sign per
+    edge when signed; an unsigned system is an orientable embedding."""
 
     rotations: tuple[tuple[int, ...], ...]
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return ()
+    signs: tuple[int, ...] | None = None
 
     def is_signed(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class SignedRotationSystem:
-    """A rotation system plus a +1/-1 sign per edge."""
-
-    rotations: tuple[tuple[int, ...], ...]
-    signs: tuple[int, ...]
-
-    def is_signed(self) -> bool:
-        return True
+        return self.signs is not None
 
 
 def dart_tail(graph: Graph, d: int) -> int:
@@ -255,7 +242,7 @@ class SearchOutcome:
     """
 
     status: str
-    embedding: RotationSystem | SignedRotationSystem | None = None
+    embedding: RotationSystem | None = None
     trace: FaceTrace | None = None
     nodes: int = 0
 
@@ -375,11 +362,8 @@ class _Searcher:
         rots = []
         for v in range(self.graph.n):
             rots.append(tuple(self._anchors(v)))
-        rots = tuple(rots)
-        if self.signed:
-            signs = tuple(-1 if t else 1 for t in self.twist)
-            return SignedRotationSystem(rots, signs)
-        return RotationSystem(rots)
+        signs = tuple(-1 if t else 1 for t in self.twist) if self.signed else None
+        return RotationSystem(tuple(rots), signs)
 
     def _dfs(self, i: int) -> bool:
         """Returns True when this subtree was fully explored."""
@@ -562,7 +546,11 @@ def certificate_to_text(graph: Graph, rs, tr: FaceTrace) -> str:
 
 
 def certificate_from_text(text: str):
-    """Parse a certificate file; returns (graph, rotation system, claim dict)."""
+    """Parse a certificate file; returns (graph, rotation system, claim dict).
+
+    Every malformed line, a signs line missing from a signed certificate (or
+    present in an orientable one) and a claim that does not state the face
+    count, Euler genus and orientability raise ParseError."""
     lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("embedding "):
         raise ParseError("expected 'embedding n m kind' header")
@@ -582,27 +570,38 @@ def certificate_from_text(text: str):
         edges.append((u, v))
     graph = Graph(n, tuple(edges))
     rots: list[tuple[int, ...]] = [()] * n
-    signs: tuple[int, ...] = ()
+    signs = None
     claim = {}
     for ln in lines[1 + m:]:
-        if ln.startswith("rot "):
-            head, _, rest = ln.partition(":")
-            v = int(head.split()[1])
-            rots[v] = tuple(int(x) for x in rest.split())
-        elif ln.startswith("signs"):
-            signs = tuple(int(x) for x in ln.split()[1:])
-        elif ln.startswith("claim"):
-            for tok in ln.split()[1:]:
-                if "=" in tok:
-                    k, _, val = tok.partition("=")
-                    claim[k] = int(val)
-                else:
-                    claim["orientable"] = tok == "orientable"
-        else:
-            raise ParseError(f"unexpected certificate line {ln!r}")
-    rs = SignedRotationSystem(tuple(rots), signs) if kind == "signed" \
-        else RotationSystem(tuple(rots))
-    return graph, rs, claim
+        try:
+            if ln.startswith("rot "):
+                head, _, rest = ln.partition(":")
+                v = int(head.split()[1])
+                if not 0 <= v < n:
+                    raise ParseError(f"rotation for a missing vertex: {ln!r}")
+                rots[v] = tuple(int(x) for x in rest.split())
+            elif ln.startswith("signs"):
+                signs = tuple(int(x) for x in ln.split()[1:])
+            elif ln.startswith("claim"):
+                for tok in ln.split()[1:]:
+                    k, eq, val = tok.partition("=")
+                    if eq and k in ("faces", "euler_genus"):
+                        claim[k] = int(val)
+                    elif tok in ("orientable", "nonorientable"):
+                        claim["orientable"] = tok == "orientable"
+                    else:
+                        raise ParseError(f"unknown claim {tok!r}")
+            else:
+                raise ParseError(f"unexpected certificate line {ln!r}")
+        except (IndexError, ValueError):
+            raise ParseError(f"bad certificate line {ln!r}") from None
+    if (signs is not None) != (kind == "signed"):
+        raise ParseError(f"{kind} certificate with"
+                         f"{'out' if signs is None else ''} a signs line")
+    if len(claim) != 3:
+        raise ParseError("the claim must state faces, euler_genus and "
+                         "orientable or nonorientable")
+    return graph, RotationSystem(tuple(rots), signs), claim
 
 
 def verify_certificate(text: str) -> tuple[bool, str]:
@@ -615,7 +614,7 @@ def verify_certificate(text: str) -> tuple[bool, str]:
         ("orientable", tr.orientable),
     ]
     for key, got in checks:
-        if key in claim and claim[key] != got:
+        if claim[key] != got:
             return False, f"claim mismatch: {key} claimed {claim[key]}, traced {got}"
     return True, (f"verified: faces={tr.face_count} euler_genus={tr.euler_genus} "
                   f"{'orientable' if tr.orientable else 'nonorientable'}")

@@ -15,8 +15,8 @@ from math import ceil, inf
 
 import networkx as nx
 
-from .embed import (Budget, FaceTrace, RotationSystem, SignedRotationSystem,
-                    search_embedding, trace_faces)
+from .embed import (Budget, FaceTrace, RotationSystem, search_embedding,
+                    trace_faces)
 from .errors import Disconnected, InexactInput, InvalidParameter
 from .powergraph import Graph, induced
 
@@ -167,9 +167,6 @@ class PlanarityResult:
     rotation: RotationSystem | None = None
     witness: Graph | None = None
 
-    def __bool__(self) -> bool:
-        return self.planar
-
 
 def is_planar(graph: Graph) -> PlanarityResult:
     g = graph.to_networkx()
@@ -274,13 +271,8 @@ def genus_exact(graph: Graph, budget: Budget | None = None) -> GenusResult:
                            _embedding_certificate(upper_rs, upper_tr))
 
 
-def crosscap_exact(graph: Graph, budget: Budget | None = None,
-                   known_lower: tuple[int, str] | None = None) -> GenusResult:
-    """Exact nonorientable genus (crosscap number); planar graphs give 0.
-
-    known_lower = (value, provenance) injects an externally proved lower
-    bound, recorded as a subgraph_bound certificate.
-    """
+def crosscap_exact(graph: Graph, budget: Budget | None = None) -> GenusResult:
+    """Exact nonorientable genus (crosscap number); planar graphs give 0."""
     budget = budget or Budget()
     pl = is_planar(graph)
     if pl.planar:
@@ -292,10 +284,6 @@ def crosscap_exact(graph: Graph, budget: Budget | None = None,
     else:
         lower_cert = {"method": "subgraph_bound", "value": 1,
                       "detail": "nonplanar", "witness": pl.witness}
-    if known_lower is not None and known_lower[0] > lower:
-        lower = known_lower[0]
-        lower_cert = {"method": "subgraph_bound", "value": lower,
-                      "detail": known_lower[1]}
     level = lower
     while True:
         out = search_embedding(graph, level, signed=True, budget=budget,
@@ -331,7 +319,7 @@ def _fallback_nonorientable(graph: Graph):
     for e, edge in enumerate(graph.edges):
         if frozenset(edge) not in bridges:
             signs = tuple(-1 if i == e else 1 for i in range(graph.m))
-            srs = SignedRotationSystem(rs.rotations, signs)
+            srs = RotationSystem(rs.rotations, signs)
             tr = trace_faces(graph, srs)
             assert not tr.orientable
             return srs, tr

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -27,11 +26,6 @@ from .errors import (
 )
 
 ISO_ORDER_CAP = 144
-
-
-def _phi(k: int) -> int:
-    """Euler totient."""
-    return sum(1 for i in range(1, k + 1) if gcd(i, k) == 1)
 
 
 class FiniteGroup:
@@ -160,12 +154,6 @@ class ElementSet:
     def __iter__(self):
         return iter(self.members)
 
-    def intersection(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.parent, tuple(set(self.members) & set(other.members)))
-
-    def union(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.parent, tuple(set(self.members) | set(other.members)))
-
     def is_subgroup(self) -> bool:
         g = self.parent
         mem = set(self.members)
@@ -203,13 +191,11 @@ class SixProfile:
     """Cyclic order-6 subgroup data: the pivot of the genus classification.
 
     ``pairwise_intersections`` lists |H_i ∩ H_j| over all unordered pairs of
-    distinct cyclic subgroups of order 6; ``common_intersection_order`` is
-    |∩_i H_i| (0 when there are none).
+    distinct cyclic subgroups of order 6.
     """
 
     count: int
     pairwise_intersections: tuple[int, ...]
-    common_intersection_order: int
 
     def __post_init__(self):
         expect = self.count * (self.count - 1) // 2
@@ -228,6 +214,8 @@ def from_table(table, label: str = "") -> FiniteGroup:
     """Build a group from a raw table, normalizing the identity to index 0."""
     t = np.asarray(table, dtype=np.int32)
     n = t.shape[0]
+    if t.shape != (n, n) or t.min(initial=0) < 0 or t.max(initial=0) >= n:
+        raise InvalidParameter("table must be square with entries in 0..n-1")
     ident = None
     for e in range(n):
         if np.array_equal(t[e], np.arange(n)) and np.array_equal(t[:, e], np.arange(n)):
@@ -476,11 +464,6 @@ def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action,
     return FiniteGroup(table, label=label)
 
 
-def trivial_action(n_grp: FiniteGroup, h_grp: FiniteGroup):
-    ident = tuple(range(n_grp.order))
-    return {h: ident for h in range(h_grp.order)}
-
-
 def cyclic_action(n_grp: FiniteGroup, h_grp: FiniteGroup, gen_auto):
     """Action of a cyclic H: its max-order element acts by ``gen_auto``.
 
@@ -506,10 +489,6 @@ def cyclic_action(n_grp: FiniteGroup, h_grp: FiniteGroup, gen_auto):
 # ---------------------------------------------------------------------------
 # element / subgroup queries
 # ---------------------------------------------------------------------------
-
-def element_order(g: FiniteGroup, x: int) -> int:
-    return int(g.element_orders()[x])
-
 
 def order_spectrum(g: FiniteGroup) -> OrderSpectrum:
     orders = g.element_orders()
@@ -545,20 +524,7 @@ def six_profile(g: FiniteGroup) -> SixProfile:
     subs = cyclic_subgroups_of_order(g, 6)
     inters = tuple(len(set(a.members) & set(b.members))
                    for a, b in itertools.combinations(subs, 2))
-    if subs:
-        common = set(subs[0].members)
-        for s in subs[1:]:
-            common &= set(s.members)
-        common_order = len(common)
-    else:
-        common_order = 0
-    return SixProfile(len(subs), inters, common_order)
-
-
-def centralizer(g: FiniteGroup, x: int) -> ElementSet:
-    t = g.table
-    members = np.nonzero(t[:, x] == t[x, :])[0]
-    return ElementSet(g, tuple(int(v) for v in members))
+    return SixProfile(len(subs), inters)
 
 
 def center(g: FiniteGroup) -> ElementSet:
@@ -623,12 +589,8 @@ def _closure_of(g: FiniteGroup, elems) -> set[int]:
     return closure
 
 
-def subgroup_generated_by(g: FiniteGroup, elems) -> ElementSet:
-    return ElementSet(g, tuple(_closure_of(g, elems)))
-
-
 # ---------------------------------------------------------------------------
-# isomorphism testing and automorphism enumeration
+# isomorphism testing
 # ---------------------------------------------------------------------------
 
 def _fingerprints(g: FiniteGroup) -> list[tuple[int, int]]:
@@ -682,8 +644,9 @@ def _is_hom(a: FiniteGroup, b: FiniteGroup, phi) -> bool:
     return np.array_equal(p[ta], tb[np.ix_(p, p)])
 
 
-def _iso_search(a: FiniteGroup, b: FiniteGroup, find_all: bool):
-    """Backtracking generator-image search; yields isomorphism maps."""
+def _iso_search(a: FiniteGroup, b: FiniteGroup):
+    """Backtracking generator-image search; the first isomorphism map, or
+    None when there is none."""
     gens = generating_set(a)
     fpa = _fingerprints(a)
     fpb = _fingerprints(b)
@@ -691,18 +654,14 @@ def _iso_search(a: FiniteGroup, b: FiniteGroup, find_all: bool):
     for s in gens:
         cs = [y for y in range(b.order) if fpb[y] == fpa[s]]
         if not cs:
-            return
+            return None
         cand.append(cs)
     parent, bfs_order = _word_tree(a, gens)
-    found = []
     for images in itertools.product(*cand):
         phi = _extend_map(a, b, gens, images, parent, bfs_order)
-        if phi is None:
-            continue
-        if _is_hom(a, b, phi):
-            yield phi
-            if not find_all:
-                return
+        if phi is not None and _is_hom(a, b, phi):
+            return phi
+    return None
 
 
 def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -712,17 +671,7 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
         raise OrderCapExceeded(f"isomorphism search capped at order {ISO_ORDER_CAP}")
     if sorted(_fingerprints(a)) != sorted(_fingerprints(b)):
         return False
-    return next(_iso_search(a, b, find_all=False), None) is not None
-
-
-def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms of g, as element-image tuples."""
-    if g.order > ISO_ORDER_CAP:
-        raise OrderCapExceeded(f"automorphism search capped at order {ISO_ORDER_CAP}")
-    out = []
-    for phi in _iso_search(g, g, find_all=True):
-        out.append(tuple(phi[x] for x in range(g.order)))
-    return out
+    return _iso_search(a, b) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -775,16 +724,3 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
         for i, p in enumerate(pts):
             perm[p] = pts[(i + 1) % len(pts)]
     return tuple(perm)
-
-
-def parse_generator_file(text: str) -> FiniteGroup:
-    """Generator-list input: 'degree <d>' then one permutation per line."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("degree"):
-        raise ParseError("expected 'degree <d>' header")
-    try:
-        degree = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("bad degree header") from None
-    gens = [parse_cycles(ln, degree) for ln in lines[1:]]
-    return from_generators(degree, gens)

@@ -48,9 +48,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return sum(1 for u, w in self.edges if v in (u, w))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in set(self.edges)
-
     def to_networkx(self) -> nx.Graph:
         g = nx.Graph()
         g.add_nodes_from(range(self.n))

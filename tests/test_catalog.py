@@ -35,6 +35,16 @@ def test_complete_slices_pairwise_nonisomorphic():
             assert not gr.is_isomorphic(groups[i], groups[j])
 
 
+def test_order24_pairwise_nonisomorphic(monkeypatch):
+    # S3xZ4 has the order and spectrum claimed for Z3xD8, so only the
+    # pairwise isomorphism check can catch the duplicate
+    dup = tuple(cat.CatalogEntry(e.label, "direct(sym(3),cyclic(4))",
+                                 e.expected_order, e.expected_spectrum, e.tags)
+                if e.label == "Z3xD8" else e for e in cat.entries())
+    monkeypatch.setattr(cat, "_ENTRIES", dup)
+    assert cat.validate_all().failures == ("Z3xD8 and S3xZ4 are isomorphic",)
+
+
 def test_get_relabels():
     g = cat.get("[16,9]")
     assert g.label == "[16,9]" and g.order == 16

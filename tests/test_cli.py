@@ -1,3 +1,5 @@
+import pytest
+
 import powergenus.cli as cli
 import powergenus.powergraph as pg
 
@@ -114,6 +116,15 @@ def test_custom_catalog(tmp_path, capsys):
                        str(path), "--format", "records", "--no-timestamp")
     assert code == 0 and len(out.strip().splitlines()) == 1
     assert "label=[8,1]" in out
+
+
+@pytest.mark.parametrize("claim", ["9 | 1,2,4,8", "8 | 1,2,4"])
+def test_custom_catalog_checked(tmp_path, capsys, claim):
+    path = tmp_path / "wrong.catalog"
+    path.write_text(f"[8,1] | cyclic(8) | {claim} | table1\n")
+    code, out, err = run(capsys, "classify", "--all-catalog", "--catalog",
+                         str(path), "--no-timestamp")
+    assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_timestamp_header(capsys):

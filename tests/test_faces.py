@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import powergenus.cli as cli
 import powergenus.embed as em
 import powergenus.powergraph as pg
 from powergenus.errors import InvalidRotation, ParseError
@@ -99,9 +100,31 @@ def test_certificate_roundtrip():
     assert not ok2 and "mismatch" in msg2
 
 
-def test_certificate_parse_errors():
+_TRIANGLE = "embedding 3 3 orientable\n0 1\n0 2\n1 2\n"
+_TRIANGLE_ROTS = "rot 0: 0 2\nrot 1: 1 4\nrot 2: 3 5\n"
+_TRIANGLE_CLAIM = "claim faces=2 euler_genus=0 orientable\n"
+
+
+@pytest.mark.parametrize("text", [
+    "not a certificate\n",
+    _TRIANGLE + "rot 9: 0 2\n" + _TRIANGLE_CLAIM,
+    _TRIANGLE + "rot x: 0 2\n" + _TRIANGLE_CLAIM,
+    _TRIANGLE.replace("orientable", "signed") + _TRIANGLE_ROTS
+    + "signs 1 a 1\n" + _TRIANGLE_CLAIM,
+    _TRIANGLE.replace("orientable", "signed") + _TRIANGLE_ROTS
+    + _TRIANGLE_CLAIM,
+    _TRIANGLE + _TRIANGLE_ROTS + "claim faces=zz euler_genus=0 orientable\n",
+    _TRIANGLE + _TRIANGLE_ROTS,
+], ids=["header", "rot-range", "rot-int", "signs-int", "signs-missing",
+        "claim-int", "claim-missing"])
+def test_certificate_parse_errors(text, tmp_path, capsys):
+    assert em.verify_certificate(_TRIANGLE + _TRIANGLE_ROTS + _TRIANGLE_CLAIM)[0]
     with pytest.raises(ParseError):
-        em.certificate_from_text("not a certificate\n")
+        em.certificate_from_text(text)
+    path = tmp_path / "bad.cert"
+    path.write_text(text)
+    assert cli.main(["verify", str(path), "--no-timestamp"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def _random_rotation(graph, rnd):
@@ -122,7 +145,7 @@ def test_face_trace_properties(n, rnd):
     graph = pg.complete_graph(n)
     rots = _random_rotation(graph, rnd)
     signs = tuple(rnd.choice((1, -1)) for _ in range(graph.m))
-    tr = em.trace_faces(graph, em.SignedRotationSystem(rots, signs))
+    tr = em.trace_faces(graph, em.RotationSystem(rots, signs))
     assert tr.face_count >= 1
     assert graph.n - graph.m + tr.face_count == 2 - tr.euler_genus
     if all(s == 1 for s in signs):

@@ -97,6 +97,17 @@ def test_parse_cycles_errors():
         gr.parse_cycles("(0 9)", 4)
 
 
+def test_from_text_parse():
+    g = gr.from_text("group 3 C3\n1 2 0\n2 0 1\n0 1 2\n")  # identity is 2
+    assert g.label == "C3" and g.order == 3
+    assert gr.is_isomorphic(g, gr.cyclic(3))
+    assert gr.from_text(gr.to_text(gr.dihedral(6))) == gr.dihedral(6)
+    with pytest.raises(ParseError):
+        gr.from_text("group 2\n0 1\n1 x\n")
+    with pytest.raises(InvalidParameter):
+        gr.from_text("group 3\n9 0 1\n0 1 2\n1 2 0\n")
+
+
 def test_inverse_and_power():
     g = gr.cyclic(10)
     for x in range(10):
