@@ -178,12 +178,13 @@ _FAMILY_NAMES = {"cyclic": "cyclic", "dihedral": "dihedral",
 
 
 def _split_args(body: str, sep: str = ",") -> list[str]:
-    """Split at top-level separators only (parentheses nest)."""
+    """Split at top-level separators only (parentheses and the brackets of
+    catalog labels nest)."""
     parts, depth, cur = [], 0, []
     for ch in body:
-        if ch == "(":
+        if ch in "([":
             depth += 1
-        elif ch == ")":
+        elif ch in ")]":
             depth -= 1
             if depth < 0:
                 raise ParseError(f"unbalanced parentheses in {body!r}")

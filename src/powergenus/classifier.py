@@ -446,7 +446,7 @@ def classify(g: FiniteGroup) -> Verdict:
 # engine cross-validation
 # ---------------------------------------------------------------------------
 
-def _category_interval(kind: str, value, surface: str):
+def _category_interval(kind: str, value):
     """Genus values compatible with a verdict, as (lo, hi) with hi=None open."""
     if kind == "planar":
         return (0, 0)
@@ -506,7 +506,7 @@ def cross_validate(g: FiniteGroup, budget: Budget | None = None) -> dict:
             ("orientable", verdict.orientable, verdict.orientable_value),
             ("nonorientable", verdict.nonorientable,
              verdict.nonorientable_value)):
-        cat_lo, cat_hi = _category_interval(kind, value, surface)
+        cat_lo, cat_hi = _category_interval(kind, value)
         lo, hi = engine[surface]
         ok = ok and _compatible(cat_lo, cat_hi, lo, hi)
     report["status"] = ("MISMATCH" if not ok
@@ -597,14 +597,11 @@ def verify_lemma(rule_id: str) -> LemmaReport:
 
 def verdict_record(label: str, g: FiniteGroup, v: Verdict) -> str:
     """One stable-field-order record line for regression diffs."""
-    spectrum = "{" + ",".join(map(str, sorted(order_spectrum(g).as_set))) + "}"
-    prof = six_profile(g)
-    six = f"({prof.count};{','.join(map(str, prof.pairwise_intersections))})"
     fields = [
         f"label={label}",
         f"order={g.order}",
-        f"spectrum={spectrum}",
-        f"six={six}",
+        f"spectrum={order_spectrum(g)}",
+        f"six={six_profile(g)}",
         f"orientable={v.orientable}",
         f"nonorientable={v.nonorientable}",
         f"table1={v.table1_label or '-'}",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from . import catalog as cat
@@ -35,8 +34,6 @@ def _common_flags() -> argparse.ArgumentParser:
                    metavar="N", help="search node cap")
     p.add_argument("--budget-seconds", type=float, default=600.0,
                    metavar="S", help="search time cap")
-    p.add_argument("--jobs", type=int, default=1, metavar="J",
-                   help="parallelism for batch classification")
     p.add_argument("--format", choices=("text", "records"), default="text",
                    help="output style")
     p.add_argument("--catalog", metavar="PATH",
@@ -82,9 +79,8 @@ def _emit(args, lines, header: bool = True) -> None:
 
 def cmd_group_info(args) -> int:
     g = _build_group(args, args.group)
-    spectrum = "{" + ",".join(map(str, sorted(order_spectrum(g).as_set))) + "}"
-    prof = six_profile(g)
-    six = f"({prof.count};{','.join(map(str, prof.pairwise_intersections))})"
+    spectrum = order_spectrum(g)
+    six = six_profile(g)
     label = g.label or args.group
     if args.format == "records":
         _emit(args, [f"label={label} order={g.order} spectrum={spectrum} "
@@ -153,13 +149,7 @@ def _verdict_lines(args, label: str, g: FiniteGroup, v) -> list[str]:
 def cmd_classify(args) -> int:
     if args.all_catalog:
         ents = sorted(_entries(args), key=lambda e: (e.expected_order, e.label))
-
-        def one(ent):
-            g = cat.build(ent)
-            return g, cls.classify(g)
-
-        with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-            results = list(pool.map(one, ents))
+        results = [(g, cls.classify(g)) for g in map(cat.build, ents)]
         lines = []
         for g, v in results:
             if args.format == "records":
@@ -192,7 +182,7 @@ def cmd_report(args) -> int:
     rows = []
     for ent in sorted(_entries(args), key=lambda e: (e.expected_order, e.label)):
         g = cat.build(ent)
-        spectrum = "{" + ",".join(map(str, sorted(order_spectrum(g).as_set))) + "}"
+        spectrum = str(order_spectrum(g))
         if args.target == "table1":
             if cls.classify_orientable(g).orientable == "two":
                 rows.append(f"{ent.label:10s} {g.order:3d}  {spectrum}")

@@ -453,13 +453,6 @@ class _Searcher:
                     self._insert(d0, a, u)
                     self._insert(d1, b, v)
                     self.twist[e] = t
-                    if getattr(self, "DEBUG_VALIDATE", False):
-                        _, _, _, cur2 = self._partial_faces()
-                        if cur2 - cur != delta:
-                            raise RuntimeError(
-                                f"delta mismatch at i={i} e={e} a={a} b={b} t={t}: "
-                                f"pred {delta} actual {cur2 - cur} cur {cur} "
-                                f"rots {[self._anchors(w) for w in range(self.graph.n)]}")
                     if not self._dfs(i + 1):
                         complete = False
                     self.twist[e] = 0
@@ -561,6 +554,11 @@ def certificate_from_text(text: str):
         raise ParseError("bad embedding header") from None
     if kind not in ("signed", "orientable"):
         raise ParseError(f"unknown embedding kind {kind!r}")
+    # a traceable graph is connected with an edge, so n <= m + 1; checked
+    # before anything is allocated per vertex or edge
+    if not 0 <= m <= len(lines) - 1 or not 0 <= n <= m + 1:
+        raise ParseError(f"header claims {n} vertices and {m} edges but "
+                         f"{len(lines) - 1} lines follow")
     edges = []
     for ln in lines[1:1 + m]:
         try:

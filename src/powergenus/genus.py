@@ -2,6 +2,10 @@
 complete and complete bipartite graphs, planarity, and exact genus /
 crosscap computation via embedding search with certificates.
 
+Both surfaces share one driver: the Euler lower bound comes first, and
+planarity (with its Kuratowski witness) is decided only when that bound is
+0, since a positive bound already proves the graph nonplanar.
+
 Conventions: the crosscap number of a planar graph is 0.  A lower-bound
 certificate records how the bound was proved (``euler_bound``,
 ``formula_oracle``, ``subgraph_bound``, or ``exhaustive_search``); an
@@ -15,8 +19,8 @@ from math import ceil, inf
 
 import networkx as nx
 
-from .embed import (Budget, FaceTrace, RotationSystem, search_embedding,
-                    trace_faces)
+from .embed import (Budget, FaceTrace, RotationSystem, rotation_from_adjacency,
+                    search_embedding, trace_faces)
 from .errors import Disconnected, InexactInput, InvalidParameter
 from .powergraph import Graph, induced
 
@@ -160,12 +164,14 @@ def _edge_block(graph: Graph, comp) -> Graph:
 
 @dataclass(frozen=True)
 class PlanarityResult:
-    """Planarity decision with evidence: a planar rotation system, or a
-    subgraph witnessing nonplanarity (a K5 or K3,3 subdivision)."""
+    """Planarity decision with evidence: a planar rotation system and its
+    face trace (None for a disconnected or edgeless graph), or a subgraph
+    witnessing nonplanarity (a K5 or K3,3 subdivision)."""
 
     planar: bool
     rotation: RotationSystem | None = None
     witness: Graph | None = None
+    trace: FaceTrace | None = None
 
 
 def is_planar(graph: Graph) -> PlanarityResult:
@@ -186,11 +192,12 @@ def is_planar(graph: Graph) -> PlanarityResult:
             darts.append(2 * e if graph.edges[e][0] == v else 2 * e + 1)
         rots.append(tuple(darts))
     rs = RotationSystem(tuple(rots))
+    tr = None
     if graph.m and nx.is_connected(g):
         # independent cross-check with our own face tracer
         tr = trace_faces(graph, rs)
         assert tr.euler_genus == 0 and tr.orientable
-    return PlanarityResult(True, rotation=rs)
+    return PlanarityResult(True, rotation=rs, trace=tr)
 
 
 # ---------------------------------------------------------------------------
@@ -224,106 +231,63 @@ class GenusResult:
         return self.lower
 
 
-def _embedding_certificate(rs, tr: FaceTrace) -> dict:
+def _embedding_certificate(rs, tr: FaceTrace | None) -> dict:
     return {"method": "embedding", "rotation": rs, "trace": tr}
-
-
-def _planar_result(graph: Graph, pl: PlanarityResult) -> GenusResult:
-    upper = {"method": "embedding", "rotation": pl.rotation, "trace": None}
-    if graph.m and pl.rotation is not None:
-        gnx = graph.to_networkx()
-        if nx.is_connected(gnx):
-            upper["trace"] = trace_faces(graph, pl.rotation)
-    return GenusResult("exact", 0, 0,
-                       {"method": "euler_bound", "value": 0},
-                       upper)
 
 
 def genus_exact(graph: Graph, budget: Budget | None = None) -> GenusResult:
     """Exact orientable genus by level-by-level search; degrades to bounds
     when the budget runs out at some level (never silently wrong)."""
-    budget = budget or Budget()
-    pl = is_planar(graph)
-    if pl.planar:
-        return _planar_result(graph, pl)
-    bound = euler_lower_bound(graph, "orientable")
-    lower = max(bound, 1)
-    if bound >= 1:
-        lower_cert = {"method": "euler_bound", "value": bound}
-    else:
-        lower_cert = {"method": "subgraph_bound", "value": 1,
-                      "detail": "nonplanar", "witness": pl.witness}
-    level = lower
-    while True:
-        out = search_embedding(graph, 2 * level, signed=False, budget=budget)
-        if out.status == "found":
-            return GenusResult("exact", level, level, lower_cert,
-                               _embedding_certificate(out.embedding, out.trace))
-        if out.status == "exhausted":
-            level += 1
-            lower_cert = {"method": "exhaustive_search", "value": level,
-                          "budget": budget, "completed": True,
-                          "nodes": out.nodes}
-            continue
-        # budget ran out: report bounds with a cheap upper bound
-        upper_rs, upper_tr = _fallback_orientable(graph)
-        return GenusResult("bounds", level, upper_tr.genus, lower_cert,
-                           _embedding_certificate(upper_rs, upper_tr))
+    return _exact(graph, budget, signed=False)
 
 
 def crosscap_exact(graph: Graph, budget: Budget | None = None) -> GenusResult:
     """Exact nonorientable genus (crosscap number); planar graphs give 0."""
+    return _exact(graph, budget, signed=True)
+
+
+def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
+    """The level search shared by both surfaces.  Level k is Euler genus 2k
+    (orientable) or k (nonorientable, requiring a twisted embedding)."""
     budget = budget or Budget()
-    pl = is_planar(graph)
-    if pl.planar:
-        return _planar_result(graph, pl)
-    bound = euler_lower_bound(graph, "nonorientable")
-    lower = max(bound, 1)
-    if bound >= 1:
-        lower_cert = {"method": "euler_bound", "value": bound}
+    level = euler_lower_bound(graph, "nonorientable" if signed else "orientable")
+    if level >= 1:
+        lower_cert = {"method": "euler_bound", "value": level}
     else:
+        pl = is_planar(graph)
+        if pl.planar:
+            return GenusResult("exact", 0, 0,
+                               {"method": "euler_bound", "value": 0},
+                               _embedding_certificate(pl.rotation, pl.trace))
+        level = 1
         lower_cert = {"method": "subgraph_bound", "value": 1,
                       "detail": "nonplanar", "witness": pl.witness}
-    level = lower
     while True:
-        out = search_embedding(graph, level, signed=True, budget=budget,
-                               require_nonorientable=True)
+        out = search_embedding(graph, level if signed else 2 * level,
+                               signed=signed, budget=budget,
+                               require_nonorientable=signed)
         if out.status == "found":
             return GenusResult("exact", level, level, lower_cert,
                                _embedding_certificate(out.embedding, out.trace))
-        if out.status == "exhausted":
-            level += 1
-            lower_cert = {"method": "exhaustive_search", "value": level,
-                          "budget": budget, "completed": True,
-                          "nodes": out.nodes}
-            continue
-        upper_rs, upper_tr = _fallback_nonorientable(graph)
-        return GenusResult("bounds", level, upper_tr.crosscap, lower_cert,
-                           _embedding_certificate(upper_rs, upper_tr))
-
-
-def _fallback_orientable(graph: Graph):
-    """Any full orientable embedding: a quick upper bound."""
-    from .embed import rotation_from_adjacency
+        if out.status != "exhausted":
+            break
+        level += 1
+        lower_cert = {"method": "exhaustive_search", "value": level,
+                      "budget": budget, "completed": True, "nodes": out.nodes}
+    # budget ran out: report bounds with a cheap upper bound, any full
+    # embedding; flipping one non-bridge edge (a nonplanar graph has a cycle)
+    # of an orientable one makes it nonorientable with crosscap at most 2g + 2
     rs = rotation_from_adjacency(graph)
-    return rs, trace_faces(graph, rs)
-
-
-def _fallback_nonorientable(graph: Graph):
-    """Any full nonorientable embedding: flip one non-bridge edge of an
-    arbitrary orientable embedding; its crosscap is at most 2g + 2."""
-    from .embed import rotation_from_adjacency
-    rs = rotation_from_adjacency(graph)
-    gnx = graph.to_networkx()
-    bridges = {frozenset(e) for e in nx.bridges(gnx)}
-    for e, edge in enumerate(graph.edges):
-        if frozenset(edge) not in bridges:
-            signs = tuple(-1 if i == e else 1 for i in range(graph.m))
-            srs = RotationSystem(rs.rotations, signs)
-            tr = trace_faces(graph, srs)
-            assert not tr.orientable
-            return srs, tr
-    raise Disconnected("graph has no cycle; crosscap fallback undefined")
+    if signed:
+        bridges = {frozenset(e) for e in nx.bridges(graph.to_networkx())}
+        flip = next(e for e, edge in enumerate(graph.edges)
+                    if frozenset(edge) not in bridges)
+        rs = RotationSystem(rs.rotations,
+                            tuple(-1 if e == flip else 1 for e in range(graph.m)))
+    tr = trace_faces(graph, rs)
+    assert tr.orientable != signed
+    return GenusResult("bounds", level, tr.crosscap if signed else tr.genus,
+                       lower_cert, _embedding_certificate(rs, tr))
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,9 @@ class SixProfile:
     def all_pairwise_three(self) -> bool:
         return self.count >= 2 and all(k == 3 for k in self.pairwise_intersections)
 
+    def __str__(self) -> str:
+        return f"({self.count};{','.join(map(str, self.pairwise_intersections))})"
+
 
 # ---------------------------------------------------------------------------
 # constructors

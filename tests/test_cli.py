@@ -23,6 +23,12 @@ def test_group_info_recipe_records(capsys):
     assert "six=(3;3,3,3)" in out
 
 
+def test_group_info_bracketed_label_in_recipe(capsys):
+    code, out, _ = run(capsys, "group-info", "direct([8,1],cyclic(2))",
+                       "--no-timestamp")
+    assert code == 0 and "order:        16" in out
+
+
 def test_unknown_label_errors(capsys):
     code, _, err = run(capsys, "group-info", "[999,9]", "--no-timestamp")
     assert code == 1 and "error" in err
@@ -75,11 +81,11 @@ def test_classify_single(capsys):
 
 
 def test_classify_all_deterministic(capsys):
-    code, out1, _ = run(capsys, "classify", "--all-catalog", "--jobs", "4",
-                        "--format", "records", "--no-timestamp")
+    argv = ("classify", "--all-catalog", "--format", "records",
+            "--no-timestamp")
+    code, out1, _ = run(capsys, *argv)
     assert code == 0 and len(out1.splitlines()) == 56
-    code, out2, _ = run(capsys, "classify", "--all-catalog", "--jobs", "1",
-                        "--format", "records", "--no-timestamp")
+    code, out2, _ = run(capsys, *argv)
     assert out1 == out2
 
 

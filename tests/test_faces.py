@@ -115,8 +115,13 @@ _TRIANGLE_CLAIM = "claim faces=2 euler_genus=0 orientable\n"
     + _TRIANGLE_CLAIM,
     _TRIANGLE + _TRIANGLE_ROTS + "claim faces=zz euler_genus=0 orientable\n",
     _TRIANGLE + _TRIANGLE_ROTS,
+    "embedding 1000000 0 orientable\n",
+    "embedding 3 9 orientable\n0 1\n0 2\n1 2\n" + _TRIANGLE_ROTS
+    + _TRIANGLE_CLAIM,
+    _TRIANGLE.replace("3 3", "5 3") + _TRIANGLE_ROTS + _TRIANGLE_CLAIM,
 ], ids=["header", "rot-range", "rot-int", "signs-int", "signs-missing",
-        "claim-int", "claim-missing"])
+        "claim-int", "claim-missing", "header-vertices-no-edges",
+        "header-edges-beyond-file", "header-vertices-beyond-edges"])
 def test_certificate_parse_errors(text, tmp_path, capsys):
     assert em.verify_certificate(_TRIANGLE + _TRIANGLE_ROTS + _TRIANGLE_CLAIM)[0]
     with pytest.raises(ParseError):
@@ -155,3 +160,60 @@ def test_face_trace_properties(n, rnd):
         unsigned = em.trace_faces(graph, em.RotationSystem(rots))
         if all(s == 1 for s in signs):
             assert unsigned.face_count == tr.face_count
+
+
+def _all_rotations(graph):
+    """Every rotation system of the graph: each vertex's first dart fixed,
+    the rest in every order."""
+    base = em.rotation_from_adjacency(graph)
+    tails = [itertools.permutations(r[1:]) for r in base.rotations]
+    for combo in itertools.product(*tails):
+        yield tuple(r[:1] + t for r, t in zip(base.rotations, combo))
+
+
+def _first_found_level(graph, signed):
+    """Search targets 0, 1, 2, ... until one finds an embedding; every
+    target before it must be exhausted."""
+    for target in itertools.count():
+        out = em.search_embedding(graph, target, signed=signed,
+                                  require_nonorientable=signed)
+        if out.status == "found":
+            return target
+        assert out.status == "exhausted", (graph.edges, target, out.status)
+
+
+def test_search_levels_match_brute_force():
+    """The search's Euler-genus deltas are exact: on every connected graph
+    with at most 5 vertices, the first target it reaches is the minimum
+    Euler genus over all rotation systems; for signed systems the minimum
+    over nonorientable ones, with tree edges kept positive (switching at a
+    vertex maps every signed system to such a one), where that is cheap."""
+    import networkx as nx
+    signed_checked = 0
+    for gnx in nx.graph_atlas_g()[1:53]:
+        if gnx.number_of_edges() == 0 or not nx.is_connected(gnx):
+            continue
+        graph = pg.Graph(gnx.number_of_nodes(),
+                         tuple(sorted((min(e), max(e)) for e in gnx.edges())))
+        rotations = list(_all_rotations(graph))
+        best = min(em.trace_faces(graph, em.RotationSystem(r)).euler_genus
+                   for r in rotations)
+        assert _first_found_level(graph, signed=False) == best
+        tree = {frozenset(e) for e in nx.bfs_edges(gnx, 0)}
+        cotree = [i for i, e in enumerate(graph.edges)
+                  if frozenset(e) not in tree]
+        if not cotree or len(rotations) << len(cotree) > 30_000:
+            continue
+        best = None
+        for flips in itertools.product((1, -1), repeat=len(cotree)):
+            signs = [1] * graph.m
+            for i, s in zip(cotree, flips):
+                signs[i] = s
+            for r in rotations:
+                tr = em.trace_faces(graph, em.RotationSystem(r, tuple(signs)))
+                if not tr.orientable and (best is None
+                                          or tr.euler_genus < best):
+                    best = tr.euler_genus
+        assert _first_found_level(graph, signed=True) == best
+        signed_checked += 1
+    assert signed_checked == 22

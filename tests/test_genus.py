@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import powergenus.embed as em
 import powergenus.genus as gn
 import powergenus.powergraph as pg
 from powergenus.errors import Disconnected, InexactInput, InvalidParameter
@@ -78,11 +79,37 @@ def test_genus_exact_small():
 
 
 def test_genus_result_bounds_refuse_value():
-    res = gn.genus_exact(pg.complete_graph(8),
-                         gn.Budget(max_nodes=20, max_seconds=60))
+    k8 = pg.complete_graph(8)
+    res = gn.genus_exact(k8, gn.Budget(max_nodes=20, max_seconds=60))
     assert res.kind == "bounds"
     with pytest.raises(InexactInput):
         res.value
+    # the signed fallback: one flipped edge of the default rotation
+    res = gn.crosscap_exact(k8, gn.Budget(max_nodes=20))
+    assert (res.kind, res.lower, res.upper) == ("bounds", 4, 19)
+    with pytest.raises(InexactInput):
+        res.value
+    uc = res.upper_certificate
+    assert uc["rotation"].is_signed() and not uc["trace"].orientable
+    ok, msg = em.verify_certificate(
+        em.certificate_to_text(k8, uc["rotation"], uc["trace"]))
+    assert ok, msg
+
+
+def test_subgraph_bound_when_euler_bound_is_zero():
+    """K3,3 with one edge subdivided has Euler bound 0 on both surfaces, so
+    its lower bound 1 comes from a Kuratowski witness."""
+    k33 = list(pg.complete_bipartite(3, 3).edges)
+    (u, v) = k33.pop(0)
+    graph = pg.Graph(7, tuple(sorted(k33 + [(u, 6), (v, 6)])))
+    for surface, run in (("orientable", gn.genus_exact),
+                         ("nonorientable", gn.crosscap_exact)):
+        assert gn.euler_lower_bound(graph, surface) == 0
+        res = run(graph)
+        assert res.value == 1
+        lc = res.lower_certificate
+        assert lc["method"] == "subgraph_bound" and lc["value"] == 1
+        assert not gn.is_planar(lc["witness"]).planar
 
 
 def test_exhaustion_certificate():
