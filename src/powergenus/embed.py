@@ -279,6 +279,10 @@ def _edge_insertion_order(graph: Graph):
     return root, order, activating
 
 
+# kinds of insertion step, by what is already placed when the edge goes in
+_FIRST, _BRIDGE, _CHORD = 0, 1, 2
+
+
 class _Searcher:
     """Depth-first edge-insertion search at a fixed Euler-genus target.
 
@@ -292,6 +296,21 @@ class _Searcher:
     fixed up to cyclic rotation automatically (no anchor choice until its
     third dart) and up to reflection by pinning the third dart's anchor;
     signs on the activating (spanning-tree) edges are fixed to +1.
+
+    Faces are kept incrementally on the double cover of ``_trace_states``:
+    ``fid[2*d + level]`` is the id of the cover face through that state (-1
+    while dart d is unplaced) and ``nface`` counts cover faces, so the
+    partial Euler genus is O(1).  A bridge to a new vertex after anchor a
+    needs no walk: its sheet-0 states join the face of the corner
+    (nxt[a], 0) and its sheet-1 states the face of (a, 1).  A chord re-walks
+    only the cover faces through its four states and gives them fresh ids;
+    every face it merges or splits is met by those walks, so the face count
+    changes by the number of walks minus the number of distinct old ids
+    met.  Each overwritten (state, old id) goes on an undo log, and removing
+    an edge replays the log back to the mark taken when it went in.
+
+    The search is iterative, one stack entry per placed edge, so its depth
+    is not bounded by Python's recursion limit.
     """
 
     def __init__(self, graph: Graph, target: int, signed: bool,
@@ -302,15 +321,40 @@ class _Searcher:
         self.require_nonorientable = require_nonorientable and signed
         self.budget = budget
         self.m = graph.m
-        self.root, self.order, self.activating = _edge_insertion_order(graph)
+        self.root, order, activating = _edge_insertion_order(graph)
+        self.plan = self._plan(order, activating)
         self.nxt = [-1] * (2 * self.m)
         self.prv = [-1] * (2 * self.m)
         self.twist = [0] * self.m
         self.rep = [-1] * graph.n
         self.count = [0] * graph.n
+        self.fid = [-1] * (4 * self.m)
+        self.nface = 0
+        self.nactive = 0
+        self.next_id = 0
+        self.log: list[int] = []  # flat (state, old face id) pairs
+        self.saved = [None] * self.m  # counters and log mark per position
         self.nodes = 0
-        self.deadline = 0.0
-        self.result: SearchOutcome | None = None
+
+    def _plan(self, order, activating):
+        """Per insertion position: (kind, edge, u, dart at u, v, dart at v),
+        with u the endpoint already active when a bridge goes in."""
+        active = set()
+        plan = []
+        for e, act in zip(order, activating):
+            u, v = self.graph.edges[e]
+            du, dv = 2 * e, 2 * e + 1
+            if not act:
+                kind = _CHORD
+            elif u in active or v in active:
+                kind = _BRIDGE
+                if v in active:
+                    u, v, du, dv = v, u, dv, du
+            else:
+                kind = _FIRST
+            active.update((u, v))
+            plan.append((kind, e, u, du, v, dv))
+        return plan
 
     # -- linked-list rotation maintenance -----------------------------------
 
@@ -337,7 +381,6 @@ class _Searcher:
             prv[n2] = p
             if self.rep[v] == d:
                 self.rep[v] = p
-        nxt[d] = prv[d] = -1  # placed_darts() keys off nxt
         self.count[v] -= 1
 
     def _anchors(self, v: int) -> list[int]:
@@ -348,15 +391,45 @@ class _Searcher:
             d = self.nxt[d]
         return out
 
+    def _anchor_choices(self, v: int) -> list[int]:
+        if v == self.root and self.count[v] == 2:
+            return [self.rep[v]]  # reflection symmetry: pin the third dart
+        return self._anchors(v)
+
     # -- search --------------------------------------------------------------
 
     def run(self) -> SearchOutcome:
-        self.deadline = time.monotonic() + self.budget.max_seconds
-        self.result = None
-        status = self._dfs(0)
-        if self.result is not None:
-            return self.result
-        return SearchOutcome("exhausted" if status else "budget", nodes=self.nodes)
+        deadline = time.monotonic() + self.budget.max_seconds
+        max_nodes = self.budget.max_nodes
+        stack: list[list] = []  # per placed position: [children, next index]
+        while True:
+            i = len(stack)
+            if i < self.m:
+                self.nodes += 1
+                if self.nodes > max_nodes or (
+                        self.nodes % 4096 == 0 and time.monotonic() > deadline):
+                    return SearchOutcome("budget", nodes=self.nodes)
+                stack.append([self._children(i), 0])
+            elif self.require_nonorientable and not any(self.twist):
+                pass  # an orientable completion: not an N_k certificate
+            else:
+                emb = self._snapshot()
+                tr = trace_faces(self.graph, emb)
+                assert tr.euler_genus <= self.target
+                return SearchOutcome("found", emb, tr, self.nodes)
+            while stack:  # backtrack to the deepest untried child
+                top = stack[-1]
+                i = len(stack) - 1
+                k = top[1]
+                if k:
+                    self._unplace(i)
+                if k < len(top[0]):
+                    self._place(i, top[0][k])
+                    top[1] = k + 1
+                    break
+                stack.pop()
+            else:
+                return SearchOutcome("exhausted", nodes=self.nodes)
 
     def _snapshot(self):
         rots = []
@@ -365,144 +438,107 @@ class _Searcher:
         signs = tuple(-1 if t else 1 for t in self.twist) if self.signed else None
         return RotationSystem(tuple(rots), signs)
 
-    def _dfs(self, i: int) -> bool:
-        """Returns True when this subtree was fully explored."""
-        if i == self.m:
-            if self.require_nonorientable and not any(self.twist):
-                return True  # orientable completion: not an N_k certificate
-            emb = self._snapshot()
-            tr = trace_faces(self.graph, emb)
-            assert tr.euler_genus <= self.target
-            self.result = SearchOutcome("found", emb, tr, self.nodes)
-            return True
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            return False
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            return False
+    def _euler_genus(self, placed: int) -> int:
+        """Euler genus of the partial map of the first `placed` edges."""
+        return 2 - (self.nactive - placed + self.nface // 2)
 
-        e = self.order[i]
-        u, v = self.graph.edges[e]
-        d0, d1 = 2 * e, 2 * e + 1
-
-        if self.activating[i]:
-            # at least one endpoint is new; bridges never change the genus
-            if self.count[u] == 0 and self.count[v] == 0:
-                # very first edge: no anchors to choose
-                self._insert(d0, -1, u)
-                self._insert(d1, -1, v)
-                complete = self._dfs(i + 1)
-                self._remove(d1, v)
-                self._remove(d0, u)
-                return complete
-            if self.count[u] == 0:
-                u, v = v, u
-                d0, d1 = d1, d0
-            complete = True
-            for a in self._anchor_choices(u):
-                self._insert(d0, a, u)
-                self._insert(d1, -1, v)
-                if not self._dfs(i + 1):
-                    complete = False
-                self._remove(d1, v)
-                self._remove(d0, u)
-                if self.result is not None:
-                    return complete
-                if not complete:
-                    return False
-            return complete
-
-        # chord: both endpoints active.  The gap after anchor a at u is
-        # passed by two double-cover states, one per sheet: (nxt[a], 0) and
-        # (a, 1).  The chord's two cover lifts join the sheet-0 u-corner to
-        # the sheet-t v-corner and the sheet-1 u-corner to the sheet-(1-t)
-        # v-corner; the Euler-genus delta follows from whether each lift
-        # splits its face or merges two faces.
-        face, pos, lens, cur = self._partial_faces()
-        slack = self.target - cur
+    def _children(self, i: int) -> list:
+        """The moves at position i, in search order: the anchor at u for a
+        bridge (-1, none, for the first edge), (a, b, twist) for a chord
+        whose Euler-genus delta fits under the target."""
+        kind, _, u, _, v, _ = self.plan[i]
+        if kind == _FIRST:
+            return [-1]
+        if kind == _BRIDGE:
+            return self._anchor_choices(u)  # bridges never change the genus
+        # The gap after anchor a at u is passed by two double-cover states,
+        # one per sheet: (nxt[a], 0) and (a, 1).  The chord's two cover
+        # lifts join the sheet-0 u-corner to the sheet-t v-corner and the
+        # sheet-1 u-corner to the sheet-(1-t) v-corner.  The two u-corners
+        # never share a face: (nxt[a], 0) is the face successor of
+        # (a ^ 1, twist), the deck image of (a, 1), so they lie on mirror
+        # faces, which are distinct (trace_faces asserts it).  Hence delta
+        # 0 when the sheet-t v-corner is on x0 (both lifts split their
+        # mirror faces), 1 when it is on x1 (merge two mirror faces, then
+        # split back), and 2 otherwise (both lifts merge distinct faces).
+        slack = self.target - self._euler_genus(i)
         assert slack >= 0
+        fid, nxt = self.fid, self.nxt
         twists = (0, 1) if self.signed else (0,)
-        complete = True
+        corners = [(b, (fid[2 * nxt[b]], fid[2 * b + 1]))
+                   for b in self._anchor_choices(v)]
+        out = []
         for a in self._anchor_choices(u):
-            c0 = 2 * self.nxt[a]
-            c1 = 2 * a + 1
-            x0, x1 = face[c0], face[c1]
-            for b in self._anchor_choices(v):
-                dstates = (2 * self.nxt[b], 2 * b + 1)
+            x0, x1 = fid[2 * nxt[a]], fid[2 * a + 1]
+            for b, ys in corners:
                 for t in twists:
-                    dt, dot = dstates[t], dstates[1 - t]
-                    if face[dt] == x0:
-                        if x1 != x0:
-                            delta = 0  # both lifts split their (mirror) faces
-                        else:
-                            # all four corners on one cover face: the first
-                            # lift splits it at corners c0/dt; the second
-                            # splits again only if its corners land on the
-                            # same side of that cut
-                            length = lens[x0]
-                            r = (pos[dt] - pos[c0]) % length
-                            same = (((pos[c1] - pos[c0]) % length < r)
-                                    == ((pos[dot] - pos[c0]) % length < r))
-                            delta = 0 if same else 1
-                    elif face[dt] == x1:
-                        delta = 1  # merge two mirror faces, then split back
-                    else:
-                        delta = 2  # both lifts merge distinct face pairs
-                    if delta > slack:
-                        continue
-                    self._insert(d0, a, u)
-                    self._insert(d1, b, v)
-                    self.twist[e] = t
-                    if not self._dfs(i + 1):
-                        complete = False
-                    self.twist[e] = 0
-                    self._remove(d1, v)
-                    self._remove(d0, u)
-                    if self.result is not None:
-                        return complete
-                    if not complete:
-                        return False
-        return complete
+                    y = ys[t]
+                    if (0 if y == x0 else 1 if y == x1 else 2) <= slack:
+                        out.append((a, b, t))
+        return out
 
-    def _anchor_choices(self, v: int) -> list[int]:
-        if v == self.root and self.count[v] == 2:
-            return [self.rep[v]]  # reflection symmetry: pin the third dart
-        return self._anchors(v)
+    def _place(self, i: int, move):
+        kind, e, u, du, v, dv = self.plan[i]
+        self.saved[i] = (len(self.log), self.nface, self.next_id, self.nactive)
+        fid, push = self.fid, self.log.append
+        if kind == _CHORD:
+            a, b, t = move
+            self._insert(du, a, u)
+            self._insert(dv, b, v)
+            self.twist[e] = t
+            self._walk_chord(du, dv)
+            return
+        if kind == _FIRST:  # two mirror faces, one per sheet
+            x0, x1 = self.next_id, self.next_id + 1
+            self.next_id += 2
+            self.nface += 2
+            self.nactive += 1
+        else:  # a bridge joins the faces of the two corners of its gap
+            x0, x1 = fid[2 * self.nxt[move]], fid[2 * move + 1]
+        self._insert(du, move, u)
+        self._insert(dv, -1, v)
+        self.nactive += 1
+        for s, f in ((2 * du, x0), (2 * dv, x0), (2 * du + 1, x1),
+                     (2 * dv + 1, x1)):
+            push(s)
+            push(-1)
+            fid[s] = f
 
-    def _partial_faces(self):
-        """Face id and walk position per double-cover state of the placed
-        partial map, plus walk lengths and the partial Euler genus."""
-        nxt, prv, twist = self.nxt, self.prv, self.twist
-        face = {}
-        pos = {}
-        lens = []
-        nface = 0
-        for d0 in self.placed_darts():
-            for lvl in (0, 1):
-                s = 2 * d0 + lvl
-                if s in face:
-                    continue
-                k = 0
-                while s not in face:
-                    face[s] = nface
-                    pos[s] = k
-                    k += 1
-                    d = s >> 1
-                    d2 = d ^ 1
-                    l2 = (s & 1) ^ twist[d >> 1]
-                    d3 = nxt[d2] if l2 == 0 else prv[d2]
-                    s = 2 * d3 + l2
-                lens.append(k)
-                nface += 1
-        nactive = sum(1 for c in self.count if c)
-        nplaced = sum(self.count) // 2
-        chi = nactive - nplaced + nface // 2
-        return face, pos, lens, 2 - chi
+    def _walk_chord(self, du: int, dv: int):
+        fid, nxt, prv, twist = self.fid, self.nxt, self.prv, self.twist
+        push = self.log.append
+        base = f = self.next_id
+        met = set()
+        for s in (2 * du, 2 * du + 1, 2 * dv, 2 * dv + 1):
+            o = fid[s]
+            if o >= base:
+                continue  # already on a face walked for this chord
+            while o != f:
+                met.add(o)
+                push(s)
+                push(o)
+                fid[s] = f
+                d = s >> 1
+                if (s ^ twist[d >> 1]) & 1:
+                    s = 2 * prv[d ^ 1] + 1
+                else:
+                    s = 2 * nxt[d ^ 1]
+                o = fid[s]
+            f += 1
+        met.discard(-1)  # the chord's own states were unplaced
+        self.next_id = f
+        self.nface += f - base - len(met)
 
-    def placed_darts(self):
-        for d in range(2 * self.m):
-            if self.nxt[d] != -1:
-                yield d
+    def _unplace(self, i: int):
+        _, e, u, du, v, dv = self.plan[i]
+        mark, self.nface, self.next_id, self.nactive = self.saved[i]
+        fid, log = self.fid, self.log
+        for j in range(len(log) - 2, mark - 1, -2):
+            fid[log[j]] = log[j + 1]
+        del log[mark:]
+        self.twist[e] = 0
+        self._remove(dv, v)
+        self._remove(du, u)
 
 
 def search_embedding(graph: Graph, target_euler_genus: int, *, signed: bool,

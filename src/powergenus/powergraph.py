@@ -132,6 +132,11 @@ def from_edge_list(text: str) -> Graph:
         raise ParseError("expected 'n m' header") from None
     if len(lines) != m + 1:
         raise ParseError(f"expected {m} edges, got {len(lines) - 1}")
+    # m edges connect at most m + 1 vertices; checked before the graph
+    # allocates a label per vertex
+    if not 0 <= n <= m + 1:
+        raise ParseError(f"header claims {n} vertices but {m} edges "
+                         f"connect at most {m + 1}")
     edges = []
     for ln in lines[1:]:
         try:

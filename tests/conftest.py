@@ -23,6 +23,13 @@ def hexagon_union(k: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def k33_with_path(length: int) -> Graph:
+    """K3,3 with a pendant path of `length` edges hanging from vertex 0."""
+    edges = [(a, b) for a in range(3) for b in range(3, 6)]
+    edges += [(0 if k == 0 else 5 + k, 6 + k) for k in range(length)]
+    return Graph(6 + length, tuple(edges))
+
+
 def b1_graph() -> Graph:
     """The two-hexagon union with its two involutions removed (7v/17e):
     a minor-minimal obstruction for the projective plane."""

@@ -3,6 +3,8 @@ import pytest
 import powergenus.cli as cli
 import powergenus.powergraph as pg
 
+from conftest import k33_with_path
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -71,6 +73,21 @@ def test_genus_bounds_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, "genus", str(edge_file), "--budget-nodes", "50",
                        "--no-timestamp")
     assert code == 2 and "bounds" in out
+
+
+def test_genus_deep_pendant_path(tmp_path, capsys):
+    """The search's depth is the edge count: 1,109 edges here."""
+    edge_file = tmp_path / "k33path.edges"
+    edge_file.write_text(pg.to_edge_list(k33_with_path(1100)))
+    code, out, _ = run(capsys, "genus", str(edge_file), "--no-timestamp")
+    assert code == 0 and out.startswith("genus exact 1\n")
+
+
+def test_genus_header_beyond_edges(tmp_path, capsys):
+    edge_file = tmp_path / "huge.edges"
+    edge_file.write_text("10000000 1\n0 1\n")
+    code, out, err = run(capsys, "genus", str(edge_file), "--no-timestamp")
+    assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_classify_single(capsys):

@@ -9,6 +9,8 @@ import powergenus.embed as em
 import powergenus.powergraph as pg
 from powergenus.errors import InvalidRotation, ParseError
 
+from conftest import hexagon_union, k33_with_path
+
 
 def test_dart_conventions():
     k3 = pg.complete_graph(3)
@@ -83,9 +85,30 @@ def test_k7_crosscap_exception():
     bottle: crosscap-2 search exhausts, crosscap-3 search succeeds."""
     k7 = pg.complete_graph(7)
     out2 = em.search_embedding(k7, 2, signed=True, require_nonorientable=True)
-    assert out2.status == "exhausted"
+    assert out2.status == "exhausted" and out2.nodes == 46122
     out3 = em.search_embedding(k7, 3, signed=True, require_nonorientable=True)
     assert out3.status == "found" and out3.trace.crosscap == 3
+
+
+def test_search_tree_sizes_pinned():
+    """Node counts of two more fixed searches: a faster search must still
+    explore the same tree."""
+    out = em.search_embedding(hexagon_union(3), 2, signed=False)
+    assert out.status == "exhausted" and out.nodes == 32354
+    out = em.search_embedding(pg.complete_graph(8), 4, signed=False)
+    assert out.status == "found" and out.nodes == 14330
+    assert out.trace.euler_genus == 4
+
+
+def test_search_deeper_than_recursion_limit():
+    """The search depth is the edge count; K3,3 with a 1,100-edge pendant
+    path goes deeper than Python's default recursion limit."""
+    graph = k33_with_path(1100)
+    assert em.search_embedding(graph, 0, signed=False).status == "exhausted"
+    out = em.search_embedding(graph, 2, signed=False)
+    assert out.status == "found" and out.trace.genus == 1
+    out = em.search_embedding(graph, 1, signed=True, require_nonorientable=True)
+    assert out.status == "found" and out.trace.crosscap == 1
 
 
 def test_certificate_roundtrip():
@@ -217,3 +240,60 @@ def test_search_levels_match_brute_force():
         assert _first_found_level(graph, signed=True) == best
         signed_checked += 1
     assert signed_checked == 22
+
+
+def _random_connected(n, rnd):
+    """A random connected graph: a random spanning tree plus each other
+    pair with probability 1/2."""
+    edges = {(rnd.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n)
+              if rnd.random() < 0.5}
+    return pg.Graph(n, tuple(sorted(edges)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(3, 7), st.booleans(), st.randoms(use_true_random=False))
+def test_gap_corners_on_mirror_faces(n, signed, rnd):
+    """The two cover corners of a rotation gap, (nxt[a], 0) and (a, 1), lie
+    on distinct faces: the first is the face successor of the deck image
+    of the second.  The search's delta rule relies on it."""
+    graph = _random_connected(n, rnd)
+    twist = [rnd.randint(0, 1) if signed else 0 for _ in range(graph.m)]
+    nxt, prv = em._next_arrays(_random_rotation(graph, rnd), graph.m)
+    face, _, _, _ = em._trace_states(range(2 * graph.m), nxt, prv, twist)
+    for a in range(2 * graph.m):
+        assert face[2 * nxt[a]] != face[2 * a + 1]
+
+
+class _RetraceChecked(em._Searcher):
+    """A searcher that, at every node, checks its incremental face ids and
+    Euler genus against a retrace of the partial map from scratch."""
+
+    checked = 0
+
+    def _children(self, i):
+        darts = [d for p in self.plan[:i] for d in (2 * p[1], 2 * p[1] + 1)]
+        face, nface, _, _ = em._trace_states(darts, self.nxt, self.prv,
+                                             self.twist)
+        states = {2 * d + lvl for d in darts for lvl in (0, 1)}
+        pairs = {(self.fid[s], face[s]) for s in states}
+        assert len(pairs) == len({f for f, _ in pairs}) == nface
+        assert all(self.fid[s] == -1 for s in range(4 * self.m)
+                   if s not in states)
+        active = {em.dart_tail(self.graph, d) for d in darts}
+        assert self._euler_genus(i) == 2 - (len(active) - i + nface // 2)
+        self.checked += 1
+        return super()._children(i)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(4, 7), st.integers(0, 4), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_incremental_faces_match_retrace(n, target, signed, rnd):
+    """At every node of a bounded search, the face partition of the placed
+    cover states and the partial Euler genus equal a fresh retrace's."""
+    graph = _random_connected(n, rnd)
+    s = _RetraceChecked(graph, target, signed, em.Budget(max_nodes=300),
+                        require_nonorientable=signed)
+    out = s.run()
+    assert s.checked == out.nodes - (out.status == "budget")

@@ -66,6 +66,18 @@ def test_edge_list_roundtrip():
     assert (back.n, back.edges) == (g.n, g.edges)  # labels are not exported
     with pytest.raises(ParseError):
         pg.from_edge_list("3 2\n0 1\n")  # missing an edge line
+    assert pg.from_edge_list("2 1\n0 1\n").n == 2  # n = m + 1 is allowed
+    assert pg.from_edge_list("1 0\n").n == 1
+
+
+@pytest.mark.parametrize("text", [
+    "10000000 1\n0 1\n", "3 1\n0 1\n", "-1 0\n", "2 0\n",
+])
+def test_edge_list_header_vertices_bounded(text):
+    """m edges connect at most m + 1 vertices; a header claiming more is
+    rejected before anything is allocated per vertex."""
+    with pytest.raises(ParseError):
+        pg.from_edge_list(text)
 
 
 def test_to_dot():
