@@ -14,8 +14,8 @@ from . import catalog as cat
 from .errors import (InternalContradiction, OrderCapExceeded, UnknownRule)
 from .genus import (Budget, GenusResult, blocks, compose_blocks,
                     crosscap_exact, genus_exact, kn_genus)
-from .groups import (ElementSet, FiniteGroup, cyclic_subgroups_of_order,
-                     is_isomorphic, order_spectrum, six_profile)
+from .groups import (FiniteGroup, cyclic_subgroups_of_order, is_isomorphic,
+                     order_spectrum, six_profile)
 from .powergraph import power_graph
 
 ORDER_CAP = 144
@@ -51,7 +51,7 @@ class Verdict:
 
     ``orientable`` is one of planar, one, two, at_least_three,
     other_with_bounds (or None when only the nonorientable side was run);
-    ``nonorientable`` is one of planar, one, not_two, exact (or None).
+    ``nonorientable`` is one of planar, one, not_two (or None).
     Exact values, when known, are in ``orientable_value`` /
     ``nonorientable_value``; a verdict of two also names the matched
     ``table1_label``.
@@ -241,19 +241,19 @@ def _reduction(g: FiniteGroup):
             parts.extend(cyclic_subgroups_of_order(g, k))
     members = {0}
     for sub in parts:
-        members.update(sub.members)
+        members.update(sub)
     orders = g.element_orders()
     outside = {int(orders[x]) for x in range(g.order) if x not in members}
     return parts, members, outside
 
 
-def reduction_set(g: FiniteGroup) -> ElementSet:
+def reduction_set(g: FiniteGroup) -> frozenset[int]:
     """Union of all cyclic subgroups of order outside {1,2,3,4}, plus the
     identity; element orders outside the set are verified to lie in {2,3,4}.
     """
     _, members, outside = _reduction(g)
     assert outside <= {2, 3, 4}
-    return ElementSet(g, tuple(sorted(members)))
+    return frozenset(members)
 
 
 def _reduction_inputs(g: FiniteGroup, surface: str, reduced_value: int) -> dict:
@@ -301,11 +301,10 @@ def satisfies_table2(g: FiniteGroup) -> bool:
 def _has_disjoint_pairing(subs) -> bool:
     """Two disjoint pairs of order-6 subgroups, each pair meeting in order 3."""
     assert len(subs) == 4
-    sets = [set(s.members) for s in subs]
     for j in (1, 2, 3):
         rest = [k for k in (1, 2, 3) if k != j]
-        if (len(sets[0] & sets[j]) == 3
-                and len(sets[rest[0]] & sets[rest[1]]) == 3):
+        if (len(subs[0] & subs[j]) == 3
+                and len(subs[rest[0]] & subs[rest[1]]) == 3):
             return True
     return False
 
@@ -446,7 +445,7 @@ def classify(g: FiniteGroup) -> Verdict:
 # engine cross-validation
 # ---------------------------------------------------------------------------
 
-def _category_interval(kind: str, value):
+def _category_interval(kind: str):
     """Genus values compatible with a verdict, as (lo, hi) with hi=None open."""
     if kind == "planar":
         return (0, 0)
@@ -456,8 +455,6 @@ def _category_interval(kind: str, value):
         return (2, 2)
     if kind == "at_least_three" or kind == "not_two":
         return (3, None)
-    if kind == "exact":
-        return (value, value)
     assert kind == "other_with_bounds"
     return (1, None)
 
@@ -502,11 +499,9 @@ def cross_validate(g: FiniteGroup, budget: Budget | None = None) -> dict:
               "nonorientable_verdict": verdict.nonorientable,
               "engine": engine}
     ok = True
-    for surface, kind, value in (
-            ("orientable", verdict.orientable, verdict.orientable_value),
-            ("nonorientable", verdict.nonorientable,
-             verdict.nonorientable_value)):
-        cat_lo, cat_hi = _category_interval(kind, value)
+    for surface, kind in (("orientable", verdict.orientable),
+                          ("nonorientable", verdict.nonorientable)):
+        cat_lo, cat_hi = _category_interval(kind)
         lo, hi = engine[surface]
         ok = ok and _compatible(cat_lo, cat_hi, lo, hi)
     report["status"] = ("MISMATCH" if not ok
@@ -525,9 +520,6 @@ class LemmaReport:
     scanned: int
     witnesses: tuple[str, ...]
     detail: str
-
-
-LEMMA_REGISTRY = ("L3.1", "T3.3", "T3.4", "L4.2")
 
 
 def _check_two_six() -> LemmaReport:
@@ -583,12 +575,16 @@ def _check_2groups() -> LemmaReport:
         "subgroup with spectrum {1,2,4,8}")
 
 
+#: The lemmas checked over the catalog, each with its check.
+LEMMA_REGISTRY = {"L3.1": _check_two_six, "T3.3": _check_table2,
+                  "T3.4": _check_four_six, "L4.2": _check_2groups}
+
+
 def verify_lemma(rule_id: str) -> LemmaReport:
-    checks = {"L3.1": _check_two_six, "T3.3": _check_table2,
-              "T3.4": _check_four_six, "L4.2": _check_2groups}
-    if rule_id not in checks:
-        raise UnknownRule(f"rule {rule_id!r} not in registry {LEMMA_REGISTRY}")
-    return checks[rule_id]()
+    if rule_id not in LEMMA_REGISTRY:
+        raise UnknownRule(
+            f"rule {rule_id!r} not in registry {tuple(LEMMA_REGISTRY)}")
+    return LEMMA_REGISTRY[rule_id]()
 
 
 # ---------------------------------------------------------------------------

@@ -314,11 +314,10 @@ class _Searcher:
     """
 
     def __init__(self, graph: Graph, target: int, signed: bool,
-                 budget: Budget, require_nonorientable: bool = False):
+                 budget: Budget):
         self.graph = graph
         self.target = target
         self.signed = signed
-        self.require_nonorientable = require_nonorientable and signed
         self.budget = budget
         self.m = graph.m
         self.root, order, activating = _edge_insertion_order(graph)
@@ -410,7 +409,7 @@ class _Searcher:
                         self.nodes % 4096 == 0 and time.monotonic() > deadline):
                     return SearchOutcome("budget", nodes=self.nodes)
                 stack.append([self._children(i), 0])
-            elif self.require_nonorientable and not any(self.twist):
+            elif self.signed and not any(self.twist):
                 pass  # an orientable completion: not an N_k certificate
             else:
                 emb = self._snapshot()
@@ -542,17 +541,17 @@ class _Searcher:
 
 
 def search_embedding(graph: Graph, target_euler_genus: int, *, signed: bool,
-                     budget: Budget | None = None,
-                     require_nonorientable: bool = False) -> SearchOutcome:
+                     budget: Budget | None = None) -> SearchOutcome:
     """Search for an embedding with Euler genus at most the target.
 
-    'exhausted' proves that no (signed) rotation system achieves the target
-    (for signed searches with require_nonorientable, that no nonorientable
-    one does).  Deterministic: identical inputs explore identical trees.
+    A signed search looks for a nonorientable embedding: it skips
+    completions with no twisted edge.  'exhausted' proves that no rotation
+    system (unsigned) or no nonorientable signed one (signed) achieves the
+    target.  Deterministic: identical inputs explore identical trees.
     """
     if budget is None:
         budget = Budget()
-    s = _Searcher(graph, target_euler_genus, signed, budget, require_nonorientable)
+    s = _Searcher(graph, target_euler_genus, signed, budget)
     return s.run()
 
 

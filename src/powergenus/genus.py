@@ -147,19 +147,10 @@ def blocks(graph: Graph) -> list[Graph]:
     g = graph.to_networkx()
     if graph.n and not nx.is_connected(g):
         raise Disconnected("blocks are defined for connected graphs")
-    comps = []
-    for comp in nx.biconnected_component_edges(g):
-        verts = sorted({v for e in comp for v in e})
-        comps.append(induced(graph, verts) if len(verts) > 2
-                     else _edge_block(graph, comp))
+    comps = [induced(graph, {v for e in comp for v in e})
+             for comp in nx.biconnected_component_edges(g)]
     comps.sort(key=lambda b: (b.labels, b.edges))
     return comps
-
-
-def _edge_block(graph: Graph, comp) -> Graph:
-    (u, v), = comp
-    u, v = min(u, v), max(u, v)
-    return Graph(2, ((0, 1),), (graph.labels[u], graph.labels[v]))
 
 
 @dataclass(frozen=True)
@@ -176,8 +167,11 @@ class PlanarityResult:
 
 def is_planar(graph: Graph) -> PlanarityResult:
     g = graph.to_networkx()
-    ok, cert = nx.check_planarity(g, counterexample=True)
+    ok, cert = nx.check_planarity(g)
     if not ok:
+        # The witness search runs one planarity test per edge, so it runs on
+        # the 2-core: a K5 or K3,3 subdivision has no vertex of degree 1.
+        _, cert = nx.check_planarity(nx.k_core(g, 2), counterexample=True)
         verts = sorted(cert.nodes)
         edges = tuple((min(u, v), max(u, v)) for u, v in cert.edges())
         witness = induced(Graph(graph.n, edges, graph.labels), verts)
@@ -264,8 +258,7 @@ def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
                       "detail": "nonplanar", "witness": pl.witness}
     while True:
         out = search_embedding(graph, level if signed else 2 * level,
-                               signed=signed, budget=budget,
-                               require_nonorientable=signed)
+                               signed=signed, budget=budget)
         if out.status == "found":
             return GenusResult("exact", level, level, lower_cert,
                                _embedding_certificate(out.embedding, out.trace))

@@ -133,36 +133,6 @@ class FiniteGroup:
 
 
 @dataclass(frozen=True)
-class ElementSet:
-    """A sorted, duplicate-free subset of a group's element indices."""
-
-    parent: FiniteGroup
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        mem = tuple(sorted(set(self.members)))
-        if mem and not (0 <= mem[0] and mem[-1] < self.parent.order):
-            raise InvalidParameter("element index out of range")
-        object.__setattr__(self, "members", mem)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def is_subgroup(self) -> bool:
-        g = self.parent
-        mem = set(self.members)
-        if 0 not in mem:
-            return False
-        return all(g.mul(x, y) in mem for x in mem for y in mem)
-
-
-@dataclass(frozen=True)
 class OrderSpectrum:
     """The set of element orders of a group, with multiplicities."""
 
@@ -242,6 +212,19 @@ def _compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
 
+def _perm_group(perms, label: str) -> FiniteGroup:
+    """The group of the given permutations (closed under composition), with
+    the identity at index 0 and the others in their given order."""
+    ident = tuple(range(len(perms[0])))
+    perms = [ident] + [p for p in perms if p != ident]
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.empty((len(perms), len(perms)), dtype=np.int32)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = index[_compose(p, q)]
+    return FiniteGroup(table, label=label)
+
+
 def from_generators(degree: int, generators, label: str = "",
                     cap: int = 10000) -> FiniteGroup:
     """Closure of a set of permutations of {0..degree-1} under composition."""
@@ -252,27 +235,20 @@ def from_generators(degree: int, generators, label: str = "",
         if sorted(g) != list(range(degree)):
             raise InvalidParameter(f"not a permutation of degree {degree}: {g}")
     ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
-    frontier = [ident]
+    elems, seen, frontier = [ident], {ident}, [ident]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gens:
                 q = _compose(p, g)
-                if q not in index:
+                if q not in seen:
                     if len(elems) >= cap:
                         raise ClosureCapExceeded(f"closure exceeded {cap} elements")
-                    index[q] = len(elems)
+                    seen.add(q)
                     elems.append(q)
                     nxt.append(q)
         frontier = nxt
-    n = len(elems)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i, j] = index[_compose(p, q)]
-    return FiniteGroup(table, label=label)
+    return _perm_group(elems, label)
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -282,25 +258,22 @@ def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup((idx[:, None] + idx[None, :]) % n, label=f"Z{n}")
 
 
+def _metacyclic(m: int, r: int, z: int, label: str) -> FiniteGroup:
+    """<a, b | a^m = 1, b^2 = a^z, b a b^-1 = a^r> with a^i b^j at index
+    2i + j, so a^i1 b^j1 * a^i2 b^j2 = a^(i1 + r^j1 i2 + z [j1 + j2 = 2])
+    b^((j1 + j2) mod 2)."""
+    i, j = np.divmod(np.arange(2 * m), 2)
+    twist = np.where(j == 1, r, 1)[:, None]
+    jj = j[:, None] + j[None, :]
+    ii = (i[:, None] + twist * i[None, :] + z * (jj // 2)) % m
+    return FiniteGroup(2 * ii + jj % 2, label=label)
+
+
 def dihedral(order: int) -> FiniteGroup:
     """Dihedral group D_order (parameter is the group order 2n, n >= 1)."""
     if order < 2 or order % 2:
         raise InvalidParameter("dihedral: order must be even and >= 2")
-    n = order // 2
-    # element (i, j) = r^i s^j  ->  index 2*i + j;  s r^i = r^-i s
-    def idx(i, j):
-        return 2 * (i % n) + j
-
-    table = np.empty((order, order), dtype=np.int32)
-    for i1 in range(n):
-        for j1 in range(2):
-            for i2 in range(n):
-                for j2 in range(2):
-                    if j1 == 0:
-                        table[idx(i1, j1), idx(i2, j2)] = idx(i1 + i2, j2)
-                    else:
-                        table[idx(i1, j1), idx(i2, j2)] = idx(i1 - i2, 1 - j2)
-    return FiniteGroup(table, label=f"D{order}")
+    return _metacyclic(order // 2, -1, 0, f"D{order}")
 
 
 def dicyclic(n: int) -> FiniteGroup:
@@ -310,26 +283,8 @@ def dicyclic(n: int) -> FiniteGroup:
     """
     if n < 2:
         raise InvalidParameter("dicyclic: n >= 2")
-    m = 2 * n
-    def idx(i, j):
-        return 2 * (i % m) + j
-
-    order = 4 * n
-    table = np.empty((order, order), dtype=np.int32)
-    for i1 in range(m):
-        for j1 in range(2):
-            for i2 in range(m):
-                for j2 in range(2):
-                    if j1 == 0:
-                        table[idx(i1, j1), idx(i2, j2)] = idx(i1 + i2, j2)
-                    else:
-                        # a^i1 b a^i2 b^j2 = a^(i1-i2) b^(1+j2); b^2 = a^n
-                        if j2 == 0:
-                            table[idx(i1, j1), idx(i2, j2)] = idx(i1 - i2, 1)
-                        else:
-                            table[idx(i1, j1), idx(i2, j2)] = idx(i1 - i2 + n, 0)
     label = "Q8" if n == 2 else ("Q16" if n == 4 else f"Dic{n}")
-    return FiniteGroup(table, label=label)
+    return _metacyclic(2 * n, -1, n, label)
 
 
 def semidihedral(order: int) -> FiniteGroup:
@@ -337,34 +292,13 @@ def semidihedral(order: int) -> FiniteGroup:
     if order < 16 or order & (order - 1):
         raise InvalidParameter("semidihedral: order must be a power of two >= 16")
     m = order // 2
-    r = m // 2 - 1  # b a b = a^r
-    def idx(i, j):
-        return 2 * (i % m) + j
-
-    table = np.empty((order, order), dtype=np.int32)
-    for i1 in range(m):
-        for j1 in range(2):
-            for i2 in range(m):
-                for j2 in range(2):
-                    if j1 == 0:
-                        table[idx(i1, j1), idx(i2, j2)] = idx(i1 + i2, j2)
-                    else:
-                        table[idx(i1, j1), idx(i2, j2)] = idx(i1 + r * i2, 1 - j2)
-    return FiniteGroup(table, label=f"QD{order}")
+    return _metacyclic(m, m // 2 - 1, 0, f"QD{order}")
 
 
 def symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 7:
         raise InvalidParameter("symmetric: 1 <= n <= 7")
-    perms = [tuple(range(n))] + [p for p in itertools.permutations(range(n))
-                                 if p != tuple(range(n))]
-    index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    table = np.empty((m, m), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[_compose(p, q)]
-    return FiniteGroup(table, label=f"S{n}")
+    return _perm_group(list(itertools.permutations(range(n))), f"S{n}")
 
 
 def _perm_sign(p) -> int:
@@ -385,15 +319,8 @@ def _perm_sign(p) -> int:
 def alternating(n: int) -> FiniteGroup:
     if not 1 <= n <= 7:
         raise InvalidParameter("alternating: 1 <= n <= 7")
-    perms = [p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1]
-    perms.sort(key=lambda p: p != tuple(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    table = np.empty((m, m), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[_compose(p, q)]
-    return FiniteGroup(table, label=f"A{n}")
+    return _perm_group([p for p in itertools.permutations(range(n))
+                        if _perm_sign(p) == 1], f"A{n}")
 
 
 _FAMILIES = {
@@ -500,44 +427,37 @@ def order_spectrum(g: FiniteGroup) -> OrderSpectrum:
                          {int(v): int(c) for v, c in zip(vals, counts)})
 
 
-def cyclic_subgroup(g: FiniteGroup, x: int) -> ElementSet:
+def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:
     members = [0]
     acc = x
     while acc != 0:
         members.append(acc)
         acc = g.mul(acc, x)
-    return ElementSet(g, tuple(members))
+    return frozenset(members)
 
 
-def cyclic_subgroups_of_order(g: FiniteGroup, k: int) -> list[ElementSet]:
+def cyclic_subgroups_of_order(g: FiniteGroup, k: int) -> list[frozenset[int]]:
+    """The distinct cyclic subgroups of order k, in order of their first
+    generator's index."""
     if k < 1:
         raise InvalidParameter("k >= 1")
-    orders = g.element_orders()
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for x in np.nonzero(orders == k)[0]:
-        sub = cyclic_subgroup(g, int(x))
-        if sub.members not in seen:
-            seen.add(sub.members)
-            out.append(sub)
-    return out
+    gens = np.nonzero(g.element_orders() == k)[0]
+    return list(dict.fromkeys(cyclic_subgroup(g, int(x)) for x in gens))
 
 
 def six_profile(g: FiniteGroup) -> SixProfile:
     subs = cyclic_subgroups_of_order(g, 6)
-    inters = tuple(len(set(a.members) & set(b.members))
-                   for a, b in itertools.combinations(subs, 2))
+    inters = tuple(len(a & b) for a, b in itertools.combinations(subs, 2))
     return SixProfile(len(subs), inters)
 
 
-def center(g: FiniteGroup) -> ElementSet:
+def center(g: FiniteGroup) -> frozenset[int]:
     t = g.table
-    members = np.nonzero((t == t.T).all(axis=1))[0]
-    return ElementSet(g, tuple(int(v) for v in members))
+    return frozenset(int(v) for v in np.nonzero((t == t.T).all(axis=1))[0])
 
 
-def conjugacy_class(g: FiniteGroup, x: int) -> ElementSet:
-    return ElementSet(g, tuple({g.conjugate(x, h) for h in range(g.order)}))
+def conjugacy_class(g: FiniteGroup, x: int) -> frozenset[int]:
+    return frozenset(g.conjugate(x, h) for h in range(g.order))
 
 
 def count_involutions(g: FiniteGroup) -> int:

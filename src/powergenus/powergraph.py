@@ -71,7 +71,7 @@ def complete_bipartite(m: int, n: int) -> Graph:
 def power_graph(g: FiniteGroup) -> Graph:
     """Vertices are group elements; x ~ y iff x != y and x in <y> or y in <x>."""
     n = g.order
-    gen_sets = [set(cyclic_subgroup(g, x).members) for x in range(n)]
+    gen_sets = [cyclic_subgroup(g, x) for x in range(n)]
     edges = []
     for x in range(n):
         for y in range(x + 1, n):
@@ -105,10 +105,7 @@ def hexagon_union_graph(g: FiniteGroup) -> Graph:
     subs = cyclic_subgroups_of_order(g, 6)
     if not subs:
         raise NoOrderSixSubgroup("group has no cyclic subgroup of order 6")
-    union: set[int] = set()
-    for s in subs:
-        union |= set(s.members)
-    return induced(power_graph(g), union)
+    return induced(power_graph(g), frozenset().union(*subs))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_signed_trace_crosscap():
     # K5 with one sign flipped on a torus-style rotation can be traced;
     # an all-plus system is always orientable.
     k5 = pg.complete_graph(5)
-    out = em.search_embedding(k5, 1, signed=True, require_nonorientable=True)
+    out = em.search_embedding(k5, 1, signed=True)
     assert out.status == "found"
     tr = out.trace
     assert not tr.orientable and tr.crosscap == 1
@@ -84,9 +84,9 @@ def test_k7_crosscap_exception():
     """K7 embeds in every surface of Euler genus >= 2 except the Klein
     bottle: crosscap-2 search exhausts, crosscap-3 search succeeds."""
     k7 = pg.complete_graph(7)
-    out2 = em.search_embedding(k7, 2, signed=True, require_nonorientable=True)
+    out2 = em.search_embedding(k7, 2, signed=True)
     assert out2.status == "exhausted" and out2.nodes == 46122
-    out3 = em.search_embedding(k7, 3, signed=True, require_nonorientable=True)
+    out3 = em.search_embedding(k7, 3, signed=True)
     assert out3.status == "found" and out3.trace.crosscap == 3
 
 
@@ -107,7 +107,7 @@ def test_search_deeper_than_recursion_limit():
     assert em.search_embedding(graph, 0, signed=False).status == "exhausted"
     out = em.search_embedding(graph, 2, signed=False)
     assert out.status == "found" and out.trace.genus == 1
-    out = em.search_embedding(graph, 1, signed=True, require_nonorientable=True)
+    out = em.search_embedding(graph, 1, signed=True)
     assert out.status == "found" and out.trace.crosscap == 1
 
 
@@ -198,8 +198,7 @@ def _first_found_level(graph, signed):
     """Search targets 0, 1, 2, ... until one finds an embedding; every
     target before it must be exhausted."""
     for target in itertools.count():
-        out = em.search_embedding(graph, target, signed=signed,
-                                  require_nonorientable=signed)
+        out = em.search_embedding(graph, target, signed=signed)
         if out.status == "found":
             return target
         assert out.status == "exhausted", (graph.edges, target, out.status)
@@ -293,7 +292,6 @@ def test_incremental_faces_match_retrace(n, target, signed, rnd):
     """At every node of a bounded search, the face partition of the placed
     cover states and the partial Euler genus equal a fresh retrace's."""
     graph = _random_connected(n, rnd)
-    s = _RetraceChecked(graph, target, signed, em.Budget(max_nodes=300),
-                        require_nonorientable=signed)
+    s = _RetraceChecked(graph, target, signed, em.Budget(max_nodes=300))
     out = s.run()
     assert s.checked == out.nodes - (out.status == "budget")

@@ -7,7 +7,7 @@ import powergenus.genus as gn
 import powergenus.powergraph as pg
 from powergenus.errors import Disconnected, InexactInput, InvalidParameter
 
-from conftest import b1_graph, hexagon_union
+from conftest import b1_graph, hexagon_union, k33_with_path
 
 
 def test_kn_formulas():
@@ -69,6 +69,13 @@ def test_is_planar():
     res = gn.is_planar(pg.complete_graph(5))
     assert not res.planar and res.witness is not None
     assert gn.is_planar(pg.complete_bipartite(2, 5)).planar
+    # the witness of a graph with a pendant path is still a subgraph of it
+    graph = k33_with_path(5)
+    w = gn.is_planar(graph).witness
+    assert (w.n, w.m) == (6, 9)
+    index = {label: v for v, label in enumerate(graph.labels)}
+    assert all((index[w.labels[u]], index[w.labels[v]]) in graph.edges
+               for u, v in w.edges)
 
 
 def test_genus_exact_small():

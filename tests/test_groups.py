@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import powergenus.catalog as cat
 import powergenus.groups as gr
 from powergenus.errors import (ClosureCapExceeded, InvalidParameter,
                                NotAnAutomorphism, OrderCapExceeded, ParseError)
@@ -159,3 +162,54 @@ def test_table_validation():
     bad = np.zeros((3, 3), dtype=np.int64)  # constant rows: not a Cayley table
     with pytest.raises(Exception):
         gr.FiniteGroup(bad)
+
+
+#: Per family: parameters, builder, and for the two-coset families the
+#: presentation <a, b | a^m = 1, b^2 = a^z, b a b^-1 = a^r> as (m, r, z).
+TABLE_FAMILIES = {
+    "dihedral": (range(2, 80, 2), gr.dihedral, lambda o: (o // 2, -1, 0)),
+    "dicyclic": (range(2, 30), gr.dicyclic, lambda n: (2 * n, -1, n)),
+    "semidihedral": ((16, 32, 64, 128), gr.semidihedral,
+                     lambda o: (o // 2, o // 4 - 1, 0)),
+    "symmetric": (range(1, 6), gr.symmetric, None),
+    "alternating": (range(1, 6), gr.alternating, None),
+    "catalog": ([e.label for e in cat.entries()], cat.get, None),
+}
+
+
+def _check_presentation(g, m, r, z):
+    """a = index 2 and b = index 1 satisfy the relations, a has order m,
+    and a^i b^j sits at index 2i + j."""
+    a, b = 2 % g.order, 1
+    assert g.element_orders()[a] == m
+    assert g.power(b, 2) == g.power(a, z)
+    assert g.mul(g.mul(b, a), g.inv(b)) == g.power(a, r % m)
+    for x in range(g.order):
+        i, j = divmod(x, 2)
+        assert g.mul(g.power(a, i), g.power(b, j)) == x
+
+
+#: sha256 over each family's ``table.tobytes()`` in parameter order: the
+#: element numbering that labels, edge lists and certificates rest on.
+TABLE_DIGESTS = {
+    "dihedral": "6a4014de0c8e26fafa41c112ae05b1d751be052fd327fe66432a33a9327f8892",
+    "dicyclic": "188197be32c3904648b8248885f6d2ff312c762c849417583b24841f4081c528",
+    "semidihedral": "2459b6ef46118ce08466d96a996be06ef804edac7180391a18b5856f289ab4da",
+    "symmetric": "96169d56f47e0c7f71ed071a45b7bb78f71d572f1256059029acdd9bba309189",
+    "alternating": "39b6060b70e8763aa80a6eb1b26b4a3097a40e134400d119f833e6e4a25a63a3",
+    "catalog": "3a1b6db6c25cffef2ef5284d86cee40299d287c270a5a6e5799bb2e383c2699d",
+}
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES)
+def test_element_indexing_pinned(family):
+    """A builder that renumbers elements changes the digest even when
+    orders and spectra stay the same."""
+    params, build, presentation = TABLE_FAMILIES[family]
+    h = hashlib.sha256()
+    for p in params:
+        g = build(p)
+        h.update(g.table.tobytes())
+        if presentation is not None:
+            _check_presentation(g, *presentation(p))
+    assert h.hexdigest() == TABLE_DIGESTS[family]
