@@ -6,6 +6,11 @@ Both surfaces share one driver: the Euler lower bound comes first, and
 planarity (with its Kuratowski witness) is decided only when that bound is
 0, since a positive bound already proves the graph nonplanar.
 
+A nonplanar graph's Kuratowski witness comes from its shortest nonplanar
+BFS prefix, cut down vertex by vertex to a vertex-minimal nonplanar induced
+subgraph (usually 5-7 vertices); only that small subgraph pays for the
+one-planarity-test-per-edge search that leaves an edge-minimal one.
+
 Conventions: the crosscap number of a planar graph is 0.  A lower-bound
 certificate records how the bound was proved (``euler_bound``,
 ``formula_oracle``, ``subgraph_bound``, or ``exhaustive_search``); an
@@ -157,7 +162,9 @@ def blocks(graph: Graph) -> list[Graph]:
 class PlanarityResult:
     """Planarity decision with evidence: a planar rotation system and its
     face trace (None for a disconnected or edgeless graph), or a subgraph
-    witnessing nonplanarity (a K5 or K3,3 subdivision)."""
+    witnessing nonplanarity (a K5 or K3,3 subdivision, with the input's
+    labels).  The witness's vertex set is vertex-minimal: the input's
+    induced subgraph on it becomes planar when any one vertex is deleted."""
 
     planar: bool
     rotation: RotationSystem | None = None
@@ -169,12 +176,16 @@ def is_planar(graph: Graph) -> PlanarityResult:
     g = graph.to_networkx()
     ok, cert = nx.check_planarity(g)
     if not ok:
-        # The witness search runs one planarity test per edge, so it runs on
-        # the 2-core: a K5 or K3,3 subdivision has no vertex of degree 1.
-        _, cert = nx.check_planarity(nx.k_core(g, 2), counterexample=True)
-        verts = sorted(cert.nodes)
-        edges = tuple((min(u, v), max(u, v)) for u, v in cert.edges())
-        witness = induced(Graph(graph.n, edges, graph.labels), verts)
+        # Drop edges of a vertex-minimal nonplanar induced subgraph while it
+        # stays nonplanar.  An edge-minimal nonplanar graph is a K5 or K3,3
+        # subdivision plus isolated vertices, and vertex-minimality leaves
+        # none isolated.
+        h = nx.Graph(g.subgraph(_nonplanar_core(g)))
+        for u, v in sorted(map(sorted, h.edges)):
+            h.remove_edge(u, v)
+            if not _nonplanar(h):
+                h.add_edge(u, v)
+        witness = induced(Graph(graph.n, tuple(h.edges), graph.labels), h)
         return PlanarityResult(False, witness=witness)
     eindex = {frozenset(e): i for i, e in enumerate(graph.edges)}
     rots = []
@@ -192,6 +203,50 @@ def is_planar(graph: Graph) -> PlanarityResult:
         tr = trace_faces(graph, rs)
         assert tr.euler_genus == 0 and tr.orientable
     return PlanarityResult(True, rotation=rs, trace=tr)
+
+
+def _nonplanar(h: nx.Graph) -> bool:
+    """Whether h, with at least 3 vertices, is nonplanar; more than 3n - 6
+    edges settles it without a planarity test."""
+    return h.number_of_edges() > 3 * len(h) - 6 or not nx.is_planar(h)
+
+
+def _nonplanar_core(g: nx.Graph) -> list[int]:
+    """A vertex set of the nonplanar graph g whose induced subgraph is
+    nonplanar but becomes planar when any one vertex is deleted.
+
+    Prefixes of a BFS order are nested, so nonplanarity is monotone along
+    them: a binary search finds the shortest nonplanar prefix with about
+    log2(n) decisions.  One pass then drops prefix vertices, last first,
+    while the rest stays nonplanar; a vertex kept once stays needed in every
+    smaller nonplanar set, so one pass is enough.
+    """
+    # Each component from a vertex of largest degree, and neighbours by
+    # decreasing degree: dense vertices come first, so the prefix turns
+    # nonplanar early and stays off long pendant paths.
+    def by_degree(vs):
+        return sorted(vs, key=lambda v: (-g.degree(v), v))
+
+    order, seen = [], set()
+    for root in by_degree(g):
+        if root not in seen:
+            comp = [root] + [w for _, w in
+                             nx.bfs_edges(g, root, sort_neighbors=by_degree)]
+            seen.update(comp)
+            order.extend(comp)
+    lo, hi = 5, len(order)  # K5 is the smallest nonplanar graph
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _nonplanar(g.subgraph(order[:mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    keep = order[:lo]
+    for v in reversed(order[:lo - 1]):  # the prefix's last vertex is needed
+        rest = [w for w in keep if w != v]
+        if _nonplanar(g.subgraph(rest)):
+            keep = rest
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -316,54 +371,3 @@ def compose_blocks(results: list[tuple[GenusResult, GenusResult]]
     cert_k = {"method": "formula_oracle", "detail": rule, "blocks": ks}
     return (GenusResult("exact", total_g, total_g, cert_g, cert_g),
             GenusResult("exact", total_k, total_k, cert_k, cert_k))
-
-
-# ---------------------------------------------------------------------------
-# genus-invariant simplification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimplifyResult:
-    graph: Graph
-    steps: tuple[str, ...]
-
-
-def simplify(graph: Graph) -> SimplifyResult:
-    """Iteratively delete degree-0/1 vertices and smooth degree-2 vertices
-    (dropping a duplicate edge when smoothing closes a triangle); both
-    operations preserve orientable and nonorientable genus."""
-    labels = list(graph.labels)
-    edges = {frozenset(e) for e in graph.edges}
-    alive = set(range(graph.n))
-    steps: list[str] = []
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            nbrs = sorted({w for e in edges if v in e for w in e if w != v})
-            if len(nbrs) == 0:
-                alive.discard(v)
-                steps.append(f"drop isolated {labels[v]}")
-                changed = True
-            elif len(nbrs) == 1:
-                alive.discard(v)
-                edges.discard(frozenset((v, nbrs[0])))
-                steps.append(f"drop leaf {labels[v]}")
-                changed = True
-            elif len(nbrs) == 2:
-                u, w = nbrs
-                alive.discard(v)
-                edges.discard(frozenset((v, u)))
-                edges.discard(frozenset((v, w)))
-                if frozenset((u, w)) in edges:
-                    steps.append(f"smooth {labels[v]} (duplicate edge dropped)")
-                else:
-                    edges.add(frozenset((u, w)))
-                    steps.append(f"smooth {labels[v]}")
-                changed = True
-    verts = sorted(alive)
-    remap = {v: i for i, v in enumerate(verts)}
-    out = Graph(len(verts),
-                tuple(sorted((remap[min(e)], remap[max(e)]) for e in edges)),
-                tuple(labels[v] for v in verts))
-    return SimplifyResult(out, tuple(steps))

@@ -1,7 +1,8 @@
 """Finite group kernel: Cayley tables, element arithmetic, subgroup machinery.
 
 Groups are stored as full multiplication tables (orders stay <= 144 in every
-catalog use, so the O(n^2) table and O(n^3) validation sweeps are cheap).
+catalog use, so the O(n^2) table and O(n^3) validation sweeps are cheap);
+constructors refuse orders above ``MAX_ORDER`` before allocating a table.
 The identity is always normalized to index 0, and all values are immutable
 after construction.
 """
@@ -26,6 +27,17 @@ from .errors import (
 )
 
 ISO_ORDER_CAP = 144
+
+# Constructors refuse larger orders before allocating the n x n table
+# (4 MiB of int32 at this order), since validation costs O(n^3) time.
+MAX_ORDER = 1024
+# entries compared per associativity block in FiniteGroup.validate
+_ASSOC_CELLS = 1 << 22
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise InvalidParameter(f"order {n} exceeds the table limit {MAX_ORDER}")
 
 
 class FiniteGroup:
@@ -87,11 +99,15 @@ class FiniteGroup:
         return int(self._inv[x])
 
     def power(self, x: int, k: int) -> int:
+        """x^k by repeated squaring, O(log k) products."""
         if k < 0:
             return self.power(self.inv(x), -k)
         acc = 0
-        for _ in range(k):
-            acc = int(self.table[acc, x])
+        while k:
+            if k & 1:
+                acc = int(self.table[acc, x])
+            x = int(self.table[x, x])
+            k >>= 1
         return acc
 
     def conjugate(self, x: int, g: int) -> int:
@@ -110,9 +126,13 @@ class FiniteGroup:
             raise InvalidParameter("element 0 is not a two-sided identity")
         if not np.array_equal(np.sort(np.where(t == 0)[1]), np.arange(n)):
             raise InvalidParameter("some element has no two-sided inverse")
-        # (i*j)*k == i*(j*k) for all triples, vectorized
-        if not np.array_equal(t[t], t[:, t]):
-            raise InvalidParameter("table is not associative")
+        # (i*j)*k == i*(j*k) for all triples, vectorized over a block of
+        # rows i at a time so memory stays O(block * n^2), not O(n^3)
+        block = max(1, _ASSOC_CELLS // (n * n))
+        for lo in range(0, n, block):
+            rows = t[lo:lo + block]
+            if not np.array_equal(t[rows], rows[:, t]):
+                raise InvalidParameter("table is not associative")
 
     # -- element orders ------------------------------------------------------
 
@@ -189,6 +209,7 @@ def from_table(table, label: str = "") -> FiniteGroup:
     n = t.shape[0]
     if t.shape != (n, n) or t.min(initial=0) < 0 or t.max(initial=0) >= n:
         raise InvalidParameter("table must be square with entries in 0..n-1")
+    _check_order(n)
     ident = None
     for e in range(n):
         if np.array_equal(t[e], np.arange(n)) and np.array_equal(t[:, e], np.arange(n)):
@@ -217,6 +238,7 @@ def _perm_group(perms, label: str) -> FiniteGroup:
     the identity at index 0 and the others in their given order."""
     ident = tuple(range(len(perms[0])))
     perms = [ident] + [p for p in perms if p != ident]
+    _check_order(len(perms))
     index = {p: i for i, p in enumerate(perms)}
     table = np.empty((len(perms), len(perms)), dtype=np.int32)
     for i, p in enumerate(perms):
@@ -254,6 +276,7 @@ def from_generators(degree: int, generators, label: str = "",
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidParameter("cyclic: n >= 1")
+    _check_order(n)
     idx = np.arange(n)
     return FiniteGroup((idx[:, None] + idx[None, :]) % n, label=f"Z{n}")
 
@@ -262,6 +285,7 @@ def _metacyclic(m: int, r: int, z: int, label: str) -> FiniteGroup:
     """<a, b | a^m = 1, b^2 = a^z, b a b^-1 = a^r> with a^i b^j at index
     2i + j, so a^i1 b^j1 * a^i2 b^j2 = a^(i1 + r^j1 i2 + z [j1 + j2 = 2])
     b^((j1 + j2) mod 2)."""
+    _check_order(2 * m)
     i, j = np.divmod(np.arange(2 * m), 2)
     twist = np.where(j == 1, r, 1)[:, None]
     jj = j[:, None] + j[None, :]
@@ -296,8 +320,8 @@ def semidihedral(order: int) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    if not 1 <= n <= 7:
-        raise InvalidParameter("symmetric: 1 <= n <= 7")
+    if not 1 <= n <= 6:  # S7 and A7 exceed MAX_ORDER
+        raise InvalidParameter("symmetric: 1 <= n <= 6")
     return _perm_group(list(itertools.permutations(range(n))), f"S{n}")
 
 
@@ -317,8 +341,8 @@ def _perm_sign(p) -> int:
 
 
 def alternating(n: int) -> FiniteGroup:
-    if not 1 <= n <= 7:
-        raise InvalidParameter("alternating: 1 <= n <= 7")
+    if not 1 <= n <= 6:  # S7 and A7 exceed MAX_ORDER
+        raise InvalidParameter("alternating: 1 <= n <= 6")
     return _perm_group([p for p in itertools.permutations(range(n))
                         if _perm_sign(p) == 1], f"A{n}")
 
@@ -344,6 +368,7 @@ def named(family: str, parameter: int) -> FiniteGroup:
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, label: str = "") -> FiniteGroup:
     na, nb = a.order, b.order
+    _check_order(na * nb)
     ta = np.asarray(a.table)
     tb = np.asarray(b.table)
     # index (x, y) -> x*nb + y; componentwise product
@@ -372,6 +397,7 @@ def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action,
     the homomorphism property of the action itself are verified.
     """
     nn, nh = n_grp.order, h_grp.order
+    _check_order(nn * nh)
     maps = {h: tuple(action[h]) for h in range(nh)}
     for h in range(nh):
         _check_automorphism(n_grp, maps[h])

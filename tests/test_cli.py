@@ -36,6 +36,12 @@ def test_unknown_label_errors(capsys):
     assert code == 1 and "error" in err
 
 
+def test_group_info_order_above_table_limit(capsys):
+    code, out, err = run(capsys, "group-info", "cyclic(20000)",
+                         "--no-timestamp")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_powergraph_edges(capsys):
     code, out, _ = run(capsys, "powergraph", "cyclic(8)", "--no-timestamp")
     assert code == 0

@@ -1,9 +1,14 @@
 import math
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import powergenus.catalog as cat
 import powergenus.embed as em
 import powergenus.genus as gn
+import powergenus.groups as gr
 import powergenus.powergraph as pg
 from powergenus.errors import Disconnected, InexactInput, InvalidParameter
 
@@ -34,8 +39,6 @@ def test_girth():
 
 
 def test_clique_number():
-    import networkx as nx
-    import powergenus.groups as gr
     assert gn.clique_number(pg.complete_graph(6)) == 6
     g = pg.power_graph(gr.cyclic(12))
     ours = gn.clique_number(g)
@@ -76,6 +79,68 @@ def test_is_planar():
     index = {label: v for v, label in enumerate(graph.labels)}
     assert all((index[w.labels[u]], index[w.labels[v]]) in graph.edges
                for u, v in w.edges)
+
+
+def _assert_kuratowski_witness(graph, w):
+    """w is a subgraph of graph under graph's labels, nonplanar, planar after
+    deleting any one edge, and vertex-minimal: graph's induced subgraph on
+    w's vertices turns planar when any one of them is deleted.  A second
+    call gives the same witness."""
+    index = {label: v for v, label in enumerate(graph.labels)}
+    verts = [index[label] for label in w.labels]
+    assert {tuple(sorted((verts[u], verts[v]))) for u, v in w.edges} \
+        <= set(graph.edges)
+    h = w.to_networkx()
+    assert not nx.is_planar(h)
+    for e in list(h.edges):
+        h.remove_edge(*e)
+        assert nx.is_planar(h)
+        h.add_edge(*e)
+    g = graph.to_networkx()
+    for v in verts:
+        assert nx.is_planar(g.subgraph(set(verts) - {v}))
+    assert gn.is_planar(graph).witness == w
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(6, 14), st.randoms(use_true_random=False))
+def test_witness_of_random_nonplanar_graph(n, rnd):
+    # a random spanning tree, then random edges until the graph is nonplanar
+    g = nx.Graph((rnd.randrange(v), v) for v in range(1, n))
+    missing = [(u, v) for u in range(n) for v in range(u + 1, n)
+               if not g.has_edge(u, v)]
+    rnd.shuffle(missing)
+    for e in missing:
+        if not nx.is_planar(g):
+            break
+        g.add_edge(*e)
+    labels = [f"v{i}" for i in range(n)]
+    rnd.shuffle(labels)
+    graph = pg.Graph(n, tuple(g.edges), tuple(labels))
+    res = gn.is_planar(graph)
+    assert not res.planar
+    _assert_kuratowski_witness(graph, res.witness)
+
+
+# the catalog blocks that are nonplanar with Euler bound 0 on both surfaces,
+# so their lower bound 1 rests on the witness
+NONPLANAR_BLOCKS = {"Dic3": (12, 28), "SL(2,3)": (24, 64), "[24,7]": (24, 63),
+                    "[24,8]": (18, 48), "Z3^2:Z4i": (36, 94),
+                    "[72,43]": (30, 78)}
+
+
+@pytest.mark.parametrize("label", sorted(NONPLANAR_BLOCKS))
+def test_witness_of_nonplanar_catalog_block(label):
+    bs = [b for b in gn.blocks(pg.power_graph(cat.get(label)))
+          if gn.euler_lower_bound(b, "nonorientable") == 0
+          and not nx.is_planar(b.to_networkx())]
+    assert [(b.n, b.m) for b in bs] == [NONPLANAR_BLOCKS[label]]
+    _assert_kuratowski_witness(bs[0], gn.is_planar(bs[0]).witness)
+
+
+def test_witness_of_z144():
+    graph = pg.power_graph(gr.cyclic(144))
+    _assert_kuratowski_witness(graph, gn.is_planar(graph).witness)
 
 
 def test_genus_exact_small():
@@ -148,17 +213,6 @@ def test_compose_blocks_formulas():
     with pytest.raises(InexactInput):
         gn.compose_blocks([(gn.GenusResult("bounds", 1, 2),
                             gn.GenusResult("exact", 1, 1))])
-
-
-def test_simplify():
-    # K4 with a subdivided edge and a pendant path: smoothing and leaf
-    # removal recover the K4 core
-    k4 = list(pg.complete_graph(4).edges)
-    k4.remove((2, 3))
-    g = pg.Graph(7, tuple(k4) + ((2, 4), (4, 3), (3, 5), (5, 6)))
-    res = gn.simplify(g)
-    assert (res.graph.n, res.graph.m) == (4, 6)
-    assert res.steps
 
 
 def test_hard_targets_delta_and_b1():

@@ -118,6 +118,21 @@ def test_inverse_and_power():
         assert g.power(x, 10) == 0
 
 
+def test_power_matches_repeated_multiplication():
+    for g in (gr.cyclic(10), gr.dihedral(12), gr.dicyclic(3)):
+        for x in range(g.order):
+            acc = 0
+            for k in range(3 * g.order):
+                assert g.power(x, k) == acc
+                acc = g.mul(acc, x)
+            assert g.power(x, -1) == g.inv(x)
+    g, x, k = gr.cyclic(8), 3, 1_000_003
+    acc = 0
+    for _ in range(k):
+        acc = g.mul(acc, x)
+    assert g.power(x, k) == acc
+
+
 def test_six_profile_z2xz6():
     g = gr.direct_product(gr.cyclic(2), gr.cyclic(6))
     prof = gr.six_profile(g)
@@ -162,6 +177,30 @@ def test_table_validation():
     bad = np.zeros((3, 3), dtype=np.int64)  # constant rows: not a Cayley table
     with pytest.raises(Exception):
         gr.FiniteGroup(bad)
+
+
+def test_table_validation_rejects_non_associative_loop():
+    # Z200 with one intercalate swapped is still a Latin square with
+    # identity 0 and two-sided inverses, so only associativity fails; at
+    # this order the check runs over several blocks of rows
+    n = 200
+    t = np.add.outer(np.arange(n), np.arange(n)) % n
+    for a in (n - 3, n // 2 - 3):
+        t[a, 1], t[a, 1 + n // 2] = t[a, 1 + n // 2], t[a, 1]
+    with pytest.raises(InvalidParameter, match="not associative"):
+        gr.FiniteGroup(t)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gr.cyclic(gr.MAX_ORDER + 1),
+    lambda: gr.dihedral(2 * gr.MAX_ORDER),
+    lambda: gr.symmetric(7),
+    lambda: gr.direct_product(gr.cyclic(40), gr.cyclic(40)),
+    lambda: gr.from_table(np.zeros((gr.MAX_ORDER + 1,) * 2, dtype=np.int32)),
+])
+def test_order_above_table_limit_refused(build):
+    with pytest.raises(InvalidParameter):
+        build()
 
 
 #: Per family: parameters, builder, and for the two-coset families the
