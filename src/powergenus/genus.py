@@ -90,6 +90,8 @@ def girth(graph: Graph):
             if frontier and 2 * dist[frontier[0]] + 1 >= best:
                 break
             frontier = nxt
+        if best == 3:  # no simple graph has a shorter cycle
+            break
     return best
 
 

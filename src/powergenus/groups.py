@@ -47,7 +47,7 @@ class FiniteGroup:
     identity.  Instances are immutable and hashable by identity of content.
     """
 
-    __slots__ = ("table", "label", "_orders", "_inv", "_hash")
+    __slots__ = ("table", "label", "_orders", "_inv", "_powers", "_hash")
 
     def __init__(self, table: np.ndarray, label: str = "", validate: bool = True):
         table = np.asarray(table, dtype=np.int32)
@@ -58,6 +58,7 @@ class FiniteGroup:
         self.label = label
         self._orders = None
         self._inv = None
+        self._powers = None
         self._hash = None
         if validate:
             self.validate()
@@ -88,15 +89,18 @@ class FiniteGroup:
     def mul(self, x: int, y: int) -> int:
         return int(self.table[x, y])
 
-    def inv(self, x: int) -> int:
+    def inverses(self) -> np.ndarray:
+        """Read-only array holding the inverse of every element."""
         if self._inv is None:
-            n = self.order
-            inv = np.empty(n, dtype=np.int32)
+            inv = np.empty(self.order, dtype=np.int32)
             rows, cols = np.nonzero(self.table == 0)
             inv[rows] = cols
             inv.setflags(write=False)
             self._inv = inv
-        return int(self._inv[x])
+        return self._inv
+
+    def inv(self, x: int) -> int:
+        return int(self.inverses()[x])
 
     def power(self, x: int, k: int) -> int:
         """x^k by repeated squaring, O(log k) products."""
@@ -109,10 +113,6 @@ class FiniteGroup:
             x = int(self.table[x, x])
             k >>= 1
         return acc
-
-    def conjugate(self, x: int, g: int) -> int:
-        """g^-1 x g."""
-        return self.mul(self.mul(self.inv(g), x), g)
 
     # -- validation ----------------------------------------------------------
 
@@ -134,19 +134,25 @@ class FiniteGroup:
             if not np.array_equal(t[rows], rows[:, t]):
                 raise InvalidParameter("table is not associative")
 
-    # -- element orders ------------------------------------------------------
+    # -- powers and element orders -------------------------------------------
+
+    def powers(self) -> np.ndarray:
+        """Read-only table whose row k holds x^k for every element x, for
+        k = 0 .. exponent (the last row is all identity)."""
+        if self._powers is None:
+            t, cols = self.table, np.arange(self.order)
+            rows = [np.zeros(self.order, dtype=np.int32), cols.astype(np.int32)]
+            while rows[-1].any():
+                rows.append(t[rows[-1], cols])
+            powers = np.stack(rows)
+            powers.setflags(write=False)
+            self._powers = powers
+        return self._powers
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            n = self.order
-            orders = np.empty(n, dtype=np.int32)
-            t = self.table
-            for x in range(n):
-                acc, k = int(t[0, x]), 1
-                while acc != 0:
-                    acc = int(t[acc, x])
-                    k += 1
-                orders[x] = k
+            # the first k >= 1 with x^k = e; row exponent is all identity
+            orders = (np.argmax(self.powers()[1:] == 0, axis=0) + 1).astype(np.int32)
             orders.setflags(write=False)
             self._orders = orders
         return self._orders
@@ -210,41 +216,39 @@ def from_table(table, label: str = "") -> FiniteGroup:
     if t.shape != (n, n) or t.min(initial=0) < 0 or t.max(initial=0) >= n:
         raise InvalidParameter("table must be square with entries in 0..n-1")
     _check_order(n)
-    ident = None
-    for e in range(n):
-        if np.array_equal(t[e], np.arange(n)) and np.array_equal(t[:, e], np.arange(n)):
-            ident = e
-            break
-    if ident is None:
+    idx = np.arange(n)
+    two_sided = (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
+    if not two_sided.any():
         raise InvalidParameter("table has no two-sided identity")
+    ident = int(np.argmax(two_sided))
     if ident != 0:
-        perm = np.arange(n)
+        perm = idx.copy()
         perm[[0, ident]] = perm[[ident, 0]]  # relabel by the transposition (0 e)
         new = np.empty_like(t)
-        for i in range(n):
-            for j in range(n):
-                new[perm[i], perm[j]] = perm[t[i, j]]
+        new[np.ix_(perm, perm)] = perm[t]
         t = new
     return FiniteGroup(t, label=label)
-
-
-def _compose(p, q):
-    """Permutation composition: (p*q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(q)))
 
 
 def _perm_group(perms, label: str) -> FiniteGroup:
     """The group of the given permutations (closed under composition), with
     the identity at index 0 and the others in their given order."""
-    ident = tuple(range(len(perms[0])))
-    perms = [ident] + [p for p in perms if p != ident]
-    _check_order(len(perms))
-    index = {p: i for i, p in enumerate(perms)}
-    table = np.empty((len(perms), len(perms)), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[_compose(p, q)]
-    return FiniteGroup(table, label=label)
+    arr = np.asarray(perms, dtype=np.int64)
+    ident = np.arange(arr.shape[1])
+    arr = np.vstack([ident, arr[(arr != ident).any(axis=1)]])
+    n, degree = arr.shape
+    _check_order(n)
+    # each permutation as one opaque scalar, so whole rows sort and match
+    row = np.dtype((np.void, arr.itemsize * degree))
+    keys = np.ascontiguousarray(arr).view(row).ravel()
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    # (p*q)(i) = p(q(i)): entry [i, j] of the gather is perms[i] o perms[j]
+    products = np.ascontiguousarray(arr[:, arr]).view(row).ravel()
+    pos = np.minimum(np.searchsorted(sorted_keys, products), n - 1)
+    if not np.array_equal(sorted_keys[pos], products):
+        raise InvalidParameter("permutations are not closed under composition")
+    return FiniteGroup(by_key[pos].reshape(n, n), label=label)
 
 
 def from_generators(degree: int, generators, label: str = "",
@@ -256,20 +260,21 @@ def from_generators(degree: int, generators, label: str = "",
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise InvalidParameter(f"not a permutation of degree {degree}: {g}")
-    ident = tuple(range(degree))
-    elems, seen, frontier = [ident], {ident}, [ident]
-    while frontier:
+    gens = np.array(gens, dtype=np.int64)
+    ident = np.arange(degree)
+    elems, seen, frontier = [ident], {ident.tobytes()}, ident[None]
+    while len(frontier):
+        # every p o g, p in the frontier and g in gens, in (p, g) order
         nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(p, g)
-                if q not in seen:
-                    if len(elems) >= cap:
-                        raise ClosureCapExceeded(f"closure exceeded {cap} elements")
-                    seen.add(q)
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
+        for q in frontier[:, gens].reshape(len(frontier) * len(gens), len(ident)):
+            key = q.tobytes()
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise ClosureCapExceeded(f"closure exceeded {cap} elements")
+                seen.add(key)
+                nxt.append(q)
+        elems.extend(nxt)
+        frontier = np.array(nxt).reshape(len(nxt), len(ident))
     return _perm_group(elems, label)
 
 
@@ -377,15 +382,12 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, label: str = "") -> FiniteGro
     return FiniteGroup(table, label=lbl)
 
 
-def _check_automorphism(n_grp: FiniteGroup, amap) -> None:
-    n = n_grp.order
-    img = [amap[x] for x in range(n)]
-    if sorted(img) != list(range(n)):
+def _check_automorphism(n_grp: FiniteGroup, img: np.ndarray) -> None:
+    t, idx = n_grp.table, np.arange(n_grp.order)
+    if img.shape != idx.shape or not np.array_equal(np.sort(img), idx):
         raise NotAnAutomorphism("action map is not a bijection")
-    for x in range(n):
-        for y in range(n):
-            if amap[n_grp.mul(x, y)] != n_grp.mul(amap[x], amap[y]):
-                raise NotAnAutomorphism("action map is not a homomorphism")
+    if not np.array_equal(img[t], t[np.ix_(img, img)]):
+        raise NotAnAutomorphism("action map is not a homomorphism")
 
 
 def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action,
@@ -398,26 +400,20 @@ def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action,
     """
     nn, nh = n_grp.order, h_grp.order
     _check_order(nn * nh)
-    maps = {h: tuple(action[h]) for h in range(nh)}
-    for h in range(nh):
-        _check_automorphism(n_grp, maps[h])
-    if maps[0] != tuple(range(nn)):
+    maps = [np.asarray(tuple(action[h]), dtype=np.int64) for h in range(nh)]
+    for img in maps:
+        _check_automorphism(n_grp, img)
+    m = np.stack(maps)
+    if not np.array_equal(m[0], np.arange(nn)):
         raise NotAHomomorphism("action of the identity is not the identity map")
-    for h1 in range(nh):
-        for h2 in range(nh):
-            composed = tuple(maps[h1][maps[h2][x]] for x in range(nn))
-            if maps[h_grp.mul(h1, h2)] != composed:
-                raise NotAHomomorphism("action is not a homomorphism H -> Aut(N)")
-    order = nn * nh
-    table = np.empty((order, order), dtype=np.int32)
-    for x1 in range(nn):
-        for h1 in range(nh):
-            m1 = maps[h1]
-            row = x1 * nh + h1
-            for x2 in range(nn):
-                for h2 in range(nh):
-                    table[row, x2 * nh + h2] = n_grp.mul(x1, m1[x2]) * nh + h_grp.mul(h1, h2)
-    return FiniteGroup(table, label=label)
+    # m[h1 h2] == m[h1] o m[h2] for every pair (h1, h2)
+    th = h_grp.table
+    if not np.array_equal(m[th], m[np.arange(nh)[:, None, None], m[None, :, :]]):
+        raise NotAHomomorphism("action is not a homomorphism H -> Aut(N)")
+    # (x1, h1)(x2, h2) = (x1 * m[h1][x2], h1 h2) with (x, h) at index x*nh + h
+    twisted = n_grp.table[:, m]  # [x1, h1, x2] -> x1 * m[h1][x2]
+    table = twisted[:, :, :, None] * nh + th[None, :, None, :]
+    return FiniteGroup(table.reshape(nn * nh, nn * nh), label=label)
 
 
 def cyclic_action(n_grp: FiniteGroup, h_grp: FiniteGroup, gen_auto):
@@ -430,14 +426,13 @@ def cyclic_action(n_grp: FiniteGroup, h_grp: FiniteGroup, gen_auto):
     gen = int(np.argmax(orders))
     if orders[gen] != h_grp.order:
         raise NotAHomomorphism("H is not cyclic")
-    gen_auto = tuple(gen_auto)
+    gen_auto = np.asarray(tuple(gen_auto), dtype=np.int64)
     maps = {}
-    h, m = 0, tuple(range(n_grp.order))
-    for _ in range(h_grp.order):
-        maps[h] = m
-        h = h_grp.mul(h, gen)
-        m = tuple(gen_auto[x] for x in m)
-    if m != tuple(range(n_grp.order)):
+    m = np.arange(n_grp.order)
+    for h in h_grp.powers()[:h_grp.order, gen].tolist():
+        maps[h] = tuple(m.tolist())
+        m = gen_auto[m]
+    if not np.array_equal(m, np.arange(n_grp.order)):
         raise NotAHomomorphism("generator automorphism order does not divide |H|")
     return maps
 
@@ -447,19 +442,13 @@ def cyclic_action(n_grp: FiniteGroup, h_grp: FiniteGroup, gen_auto):
 # ---------------------------------------------------------------------------
 
 def order_spectrum(g: FiniteGroup) -> OrderSpectrum:
-    orders = g.element_orders()
-    vals, counts = np.unique(orders, return_counts=True)
-    return OrderSpectrum(tuple(int(v) for v in vals),
-                         {int(v): int(c) for v, c in zip(vals, counts)})
+    counts = np.bincount(g.element_orders())
+    vals = np.nonzero(counts)[0].tolist()
+    return OrderSpectrum(tuple(vals), {v: int(counts[v]) for v in vals})
 
 
 def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:
-    members = [0]
-    acc = x
-    while acc != 0:
-        members.append(acc)
-        acc = g.mul(acc, x)
-    return frozenset(members)
+    return frozenset(g.powers()[:g.element_orders()[x], x].tolist())
 
 
 def cyclic_subgroups_of_order(g: FiniteGroup, k: int) -> list[frozenset[int]]:
@@ -483,7 +472,9 @@ def center(g: FiniteGroup) -> frozenset[int]:
 
 
 def conjugacy_class(g: FiniteGroup, x: int) -> frozenset[int]:
-    return frozenset(g.conjugate(x, h) for h in range(g.order))
+    """{h^-1 x h : h in G}."""
+    t = g.table
+    return frozenset(t[t[g.inverses(), x], np.arange(g.order)].tolist())
 
 
 def count_involutions(g: FiniteGroup) -> int:

@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from .errors import InvalidVertex, NoOrderSixSubgroup, ParseError
-from .groups import FiniteGroup, cyclic_subgroup, cyclic_subgroups_of_order
+from .groups import FiniteGroup, cyclic_subgroups_of_order
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,12 @@ def complete_bipartite(m: int, n: int) -> Graph:
 def power_graph(g: FiniteGroup) -> Graph:
     """Vertices are group elements; x ~ y iff x != y and x in <y> or y in <x>."""
     n = g.order
-    gen_sets = [cyclic_subgroup(g, x) for x in range(n)]
-    edges = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            if x in gen_sets[y] or y in gen_sets[x]:
-                edges.append((x, y))
+    # member[x, y]: y is a power of x, i.e. y in <x>
+    member = np.zeros((n, n), dtype=bool)
+    member[np.arange(n), g.powers()] = True
+    us, vs = np.nonzero(np.triu(member | member.T, 1))
     labels = tuple(_element_label(g, x) for x in range(n))
-    return Graph(n, tuple(edges), labels)
+    return Graph(n, tuple(zip(us.tolist(), vs.tolist())), labels)
 
 
 def _element_label(g: FiniteGroup, x: int) -> str:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import powergenus.cli as cli
@@ -110,6 +112,27 @@ def test_classify_all_deterministic(capsys):
     assert code == 0 and len(out1.splitlines()) == 56
     code, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+#: sha256 of the stdout of these commands: every verdict, value and trail
+#: byte of the catalog-wide output.
+CLI_DIGESTS = {
+    ("classify", "--all-catalog", "--format", "records", "--no-timestamp"):
+        "20384eaa400a880a7b3d255e6d4694475eec2ffac8dd55e5b1e1199366de55a8",
+    ("classify", "--all-catalog", "--no-timestamp"):
+        "d5c925f3656fe47d4ad75e75d0b832f09fe8fcbf4c299b0b6d255a65f33993d0",
+    ("report", "table1", "--no-timestamp"):
+        "21a03f563d394ff190c0421ea31cbba4b586adead7da5c0598ddf663307fb564",
+    ("report", "table2", "--no-timestamp"):
+        "daba0dadf91f923f7c44612bfffe7ac869d3a42d0d89a91b9f39ba26adb31824",
+}
+
+
+@pytest.mark.parametrize("argv", CLI_DIGESTS, ids=" ".join)
+def test_catalog_output_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[argv]
 
 
 def test_report_table1(capsys):

@@ -38,6 +38,25 @@ def test_girth():
     assert gn.girth(pg.Graph(3, ((0, 1), (1, 2)))) == math.inf
 
 
+def _nx_girth(graph):
+    return nx.girth(graph.to_networkx())
+
+
+def test_girth_matches_networkx_on_catalog_blocks():
+    for e in cat.entries():
+        for b in gn.blocks(pg.power_graph(cat.get(e.label))):
+            assert gn.girth(b) == _nx_girth(b), (e.label, b)
+
+
+def test_girth_matches_networkx_off_triangles():
+    forest = pg.Graph(7, ((0, 1), (1, 2), (1, 3), (4, 5), (5, 6)))
+    cases = [forest, pg.complete_bipartite(3, 4), hexagon_union(2),
+             pg.Graph(5, tuple((i, (i + 1) % 5) for i in range(5))),
+             pg.Graph(10, tuple(nx.petersen_graph().edges()))]
+    for graph in cases:
+        assert gn.girth(graph) == _nx_girth(graph), graph
+
+
 def test_clique_number():
     assert gn.clique_number(pg.complete_graph(6)) == 6
     g = pg.power_graph(gr.cyclic(12))

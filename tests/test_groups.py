@@ -5,8 +5,10 @@ import pytest
 
 import powergenus.catalog as cat
 import powergenus.groups as gr
+import powergenus.powergraph as pg
 from powergenus.errors import (ClosureCapExceeded, InvalidParameter,
-                               NotAnAutomorphism, OrderCapExceeded, ParseError)
+                               NotAHomomorphism, NotAnAutomorphism,
+                               OrderCapExceeded, ParseError)
 
 
 def test_cyclic_orders():
@@ -78,6 +80,52 @@ def test_semidirect_rejects_non_automorphism():
         gr.semidirect_product(c5, c2, bad)
 
 
+C5_INVERT = (0, 4, 3, 2, 1)
+C5_DOUBLE = (0, 2, 4, 1, 3)  # x -> 2x, an automorphism of order 4
+
+
+@pytest.mark.parametrize("h_order, action, error", [
+    # not a bijection of N
+    (2, {0: tuple(range(5)), 1: (0, 0, 0, 0, 0)}, NotAnAutomorphism),
+    (2, {0: tuple(range(5)), 1: (0, 1, 2, 3)}, NotAnAutomorphism),
+    # a bijection that does not respect the product of N
+    (2, {0: tuple(range(5)), 1: (0, 1, 2, 4, 3)}, NotAnAutomorphism),
+    # the identity of H acts nontrivially
+    (2, {0: C5_INVERT, 1: C5_INVERT}, NotAHomomorphism),
+    # every map is an automorphism, but h -> action(h) is not a homomorphism
+    (2, {0: tuple(range(5)), 1: C5_DOUBLE}, NotAHomomorphism),
+    (3, {0: tuple(range(5)), 1: C5_INVERT, 2: tuple(range(5))},
+     NotAHomomorphism),
+])
+def test_semidirect_rejects_bad_action(h_order, action, error):
+    with pytest.raises(error):
+        gr.semidirect_product(gr.cyclic(5), gr.cyclic(h_order), action)
+
+
+def test_semidirect_checks_automorphisms_before_the_action():
+    # h = 0 acts nontrivially and h = 1 is no automorphism: the
+    # automorphism check of every map comes first
+    action = {0: C5_INVERT, 1: (0, 2, 1, 3, 4)}
+    with pytest.raises(NotAnAutomorphism):
+        gr.semidirect_product(gr.cyclic(5), gr.cyclic(2), action)
+
+
+def test_cyclic_action_rejects_non_cyclic_h():
+    klein = gr.direct_product(gr.cyclic(2), gr.cyclic(2))
+    with pytest.raises(NotAHomomorphism, match="not cyclic"):
+        gr.cyclic_action(gr.cyclic(5), klein, C5_INVERT)
+
+
+def test_cyclic_action_rejects_generator_order_not_dividing_h():
+    with pytest.raises(NotAHomomorphism, match="does not divide"):
+        gr.cyclic_action(gr.cyclic(5), gr.cyclic(2), C5_DOUBLE)
+    # order 4 divides |Z4|, and Z5 x| Z4 by x -> 2x is the Frobenius group F20
+    g = gr.semidirect_product(gr.cyclic(5), gr.cyclic(4),
+                              gr.cyclic_action(gr.cyclic(5), gr.cyclic(4),
+                                               C5_DOUBLE))
+    assert g.order == 20 and len(gr.center(g)) == 1
+
+
 def test_semidirect_dihedral():
     c5 = gr.cyclic(5)
     c2 = gr.cyclic(2)
@@ -109,6 +157,37 @@ def test_from_text_parse():
         gr.from_text("group 2\n0 1\n1 x\n")
     with pytest.raises(InvalidParameter):
         gr.from_text("group 3\n9 0 1\n0 1 2\n1 2 0\n")
+
+
+def _reference_from_table(t):
+    """from_table's relabelling by the transposition (0 e), entry by entry."""
+    n = len(t)
+    ident = next(e for e in range(n)
+                 if all(t[e][x] == x and t[x][e] == x for x in range(n)))
+    swap = list(range(n))
+    swap[0], swap[ident] = ident, 0
+    new = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        for j in range(n):
+            new[swap[i], swap[j]] = swap[t[i][j]]
+    return new
+
+
+@pytest.mark.parametrize("label", ["D8", "[16,9]", "SL(2,3)"])
+def test_from_table_moves_identity_to_zero(label):
+    g = cat.get(label)
+    n = g.order
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        # rename x as perm[x]; the identity lands at a nonzero index
+        perm = rng.permutation(n)
+        if perm[0] == 0:
+            perm[[0, 1]] = perm[[1, 0]]
+        inv = np.argsort(perm)
+        t = perm[g.table[np.ix_(inv, inv)]]
+        built = gr.from_table(t.tolist(), label="x")
+        assert np.array_equal(built.table, _reference_from_table(t.tolist()))
+        assert gr.is_isomorphic(built, g)
 
 
 def test_inverse_and_power():
@@ -252,3 +331,61 @@ def test_element_indexing_pinned(family):
         if presentation is not None:
             _check_presentation(g, *presentation(p))
     assert h.hexdigest() == TABLE_DIGESTS[family]
+
+
+# ---------------------------------------------------------------------------
+# whole-table queries against element-by-element reference code
+# ---------------------------------------------------------------------------
+
+def _relabelled(g, seed):
+    """g with element x renamed perm[x], perm a seeded shuffle fixing 0."""
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate([[0], 1 + rng.permutation(g.order - 1)])
+    inv = np.argsort(perm)
+    return gr.FiniteGroup(perm[g.table[np.ix_(inv, inv)]], label=g.label)
+
+
+def _ref_cyclic_subgroup(g, x):
+    members, acc = [0], x
+    while acc != 0:
+        members.append(acc)
+        acc = g.mul(acc, x)
+    return frozenset(members)
+
+
+def _check_against_reference(g):
+    n = g.order
+    subgroups = [_ref_cyclic_subgroup(g, x) for x in range(n)]
+    orders = [len(s) for s in subgroups]
+    assert g.element_orders().tolist() == orders
+    assert [gr.cyclic_subgroup(g, x) for x in range(n)] == subgroups
+    counts = {}
+    for k in orders:
+        counts[k] = counts.get(k, 0) + 1
+    spectrum = gr.order_spectrum(g)
+    assert spectrum.multiplicities == counts
+    assert spectrum.orders == tuple(sorted(counts))
+    inv = [next(y for y in range(n) if g.mul(x, y) == 0) for x in range(n)]
+    for x in range(n):
+        ref = frozenset(g.mul(g.mul(inv[h], x), h) for h in range(n))
+        assert gr.conjugacy_class(g, x) == ref
+    edges = tuple((x, y) for x in range(n) for y in range(x + 1, n)
+                  if x in subgroups[y] or y in subgroups[x])
+    assert pg.power_graph(g).edges == edges
+
+
+@pytest.mark.parametrize("label", [e.label for e in cat.entries()])
+def test_queries_match_elementwise_reference(label):
+    g = cat.get(label)
+    _check_against_reference(g)
+    _check_against_reference(_relabelled(g, seed=sum(map(ord, label))))
+
+
+def test_power_table_rows_are_powers():
+    g = _relabelled(cat.get("[16,9]"), seed=3)
+    powers = g.powers()
+    assert not powers.flags.writeable
+    # rows 1 .. exponent - 1 each hold a non-identity power
+    assert (powers[-1] == 0).all() and (powers[1:-1] != 0).any(axis=1).all()
+    for k, row in enumerate(powers):
+        assert row.tolist() == [g.power(x, k) for x in range(g.order)]
