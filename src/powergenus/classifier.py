@@ -277,9 +277,12 @@ def _spectrum_inputs(g: FiniteGroup) -> dict:
 
 
 def _match_catalog(g: FiniteGroup, labels) -> str | None:
+    """The first label whose group is isomorphic to g; only candidates of
+    g's order are built (``catalog.build`` checks each entry's order)."""
     for label in labels:
-        entry = cat.get(label)
-        if entry.order == g.order and is_isomorphic(g, entry):
+        if cat.entry(label).expected_order != g.order:
+            continue
+        if is_isomorphic(g, cat.get(label)):
             return label
     return None
 

@@ -300,14 +300,20 @@ class _Searcher:
     Faces are kept incrementally on the double cover of ``_trace_states``:
     ``fid[2*d + level]`` is the id of the cover face through that state (-1
     while dart d is unplaced) and ``nface`` counts cover faces, so the
-    partial Euler genus is O(1).  A bridge to a new vertex after anchor a
-    needs no walk: its sheet-0 states join the face of the corner
-    (nxt[a], 0) and its sheet-1 states the face of (a, 1).  A chord re-walks
-    only the cover faces through its four states and gives them fresh ids;
-    every face it merges or splits is met by those walks, so the face count
-    changes by the number of walks minus the number of distinct old ids
-    met.  Each overwritten (state, old id) goes on an undo log, and removing
-    an edge replays the log back to the mark taken when it went in.
+    partial Euler genus is O(1).  Every cover face has a distinct mirror,
+    its image under the deck transformation tau(2d + i) = 2(d ^ 1) +
+    (1 ^ i ^ twist[d >> 1]), and ids are allocated in pairs so that the
+    mirror of face f is face f ^ 1.  A bridge to a new vertex after anchor
+    a needs no walk: its sheet-0 states join the face of the corner
+    (nxt[a], 0) and its sheet-1 states the face of (a, 1), the mirror.  A
+    chord re-walks only the cover faces through the two states of its dart
+    at u, giving each a fresh id pair and writing every state's new id and
+    its mirror's; the chord's states at v are the mirrors of those at u.
+    Every face it merges or splits is met by those walks or their mirrors,
+    so the face count changes by the number of new faces minus twice the
+    number of distinct old face pairs met.  Each overwritten (state,
+    mirror, old id) goes on an undo log, and removing an edge replays the
+    log back to the mark taken when it went in.
 
     The search is iterative, one stack entry per placed edge, so its depth
     is not bounded by Python's recursion limit.
@@ -331,7 +337,7 @@ class _Searcher:
         self.nface = 0
         self.nactive = 0
         self.next_id = 0
-        self.log: list[int] = []  # flat (state, old face id) pairs
+        self.log: list[int] = []  # flat (state, mirror, old id) triples
         self.saved = [None] * self.m  # counters and log mark per position
         self.nodes = 0
 
@@ -464,9 +470,21 @@ class _Searcher:
         assert slack >= 0
         fid, nxt = self.fid, self.nxt
         twists = (0, 1) if self.signed else (0,)
+        out = []
+        if slack == 0:
+            # Only delta 0 fits: group the v-corners (b, t) by face, in scan
+            # order, and give each anchor a the group on its face x0.
+            by_face: dict[int, list] = {}
+            for b in self._anchor_choices(v):
+                ys = (fid[2 * nxt[b]], fid[2 * b + 1])
+                for t in twists:
+                    by_face.setdefault(ys[t], []).append((b, t))
+            for a in self._anchor_choices(u):
+                for b, t in by_face.get(fid[2 * nxt[a]], ()):
+                    out.append((a, b, t))
+            return out
         corners = [(b, (fid[2 * nxt[b]], fid[2 * b + 1]))
                    for b in self._anchor_choices(v)]
-        out = []
         for a in self._anchor_choices(u):
             x0, x1 = fid[2 * nxt[a]], fid[2 * a + 1]
             for b, ys in corners:
@@ -485,55 +503,68 @@ class _Searcher:
             self._insert(du, a, u)
             self._insert(dv, b, v)
             self.twist[e] = t
-            self._walk_chord(du, dv)
+            self._walk_chord(du)
             return
         if kind == _FIRST:  # two mirror faces, one per sheet
-            x0, x1 = self.next_id, self.next_id + 1
+            x0 = self.next_id
             self.next_id += 2
             self.nface += 2
             self.nactive += 1
         else:  # a bridge joins the faces of the two corners of its gap
-            x0, x1 = fid[2 * self.nxt[move]], fid[2 * move + 1]
+            x0 = fid[2 * self.nxt[move]]
         self._insert(du, move, u)
         self._insert(dv, -1, v)
         self.nactive += 1
-        for s, f in ((2 * du, x0), (2 * dv, x0), (2 * du + 1, x1),
-                     (2 * dv + 1, x1)):
+        # sheet 0 on face x0, sheet 1 on its mirror; a tree edge is untwisted,
+        # so (du, l) and (dv, 1 - l) are mirrors
+        for s, ms in ((2 * du, 2 * dv + 1), (2 * dv, 2 * du + 1)):
             push(s)
+            push(ms)
             push(-1)
-            fid[s] = f
+            fid[s] = x0
+            fid[ms] = x0 ^ 1
 
-    def _walk_chord(self, du: int, dv: int):
+    def _walk_chord(self, du: int):
+        """Walk the new faces through the two states of the chord's dart du,
+        each step also writing the mirror state."""
         fid, nxt, prv, twist = self.fid, self.nxt, self.prv, self.twist
         push = self.log.append
         base = f = self.next_id
-        met = set()
-        for s in (2 * du, 2 * du + 1, 2 * dv, 2 * dv + 1):
+        met = set()  # old face pairs, as o >> 1
+        for s in (2 * du, 2 * du + 1):
             o = fid[s]
             if o >= base:
-                continue  # already on a face walked for this chord
+                continue  # already on a face (or mirror) walked for this chord
+            g = f ^ 1
             while o != f:
-                met.add(o)
+                met.add(o >> 1)
                 push(s)
-                push(o)
                 fid[s] = f
                 d = s >> 1
+                e = d ^ 1
                 if (s ^ twist[d >> 1]) & 1:
-                    s = 2 * prv[d ^ 1] + 1
+                    ms = 2 * e
+                    s = 2 * prv[e] + 1
                 else:
-                    s = 2 * nxt[d ^ 1]
+                    ms = 2 * e + 1
+                    s = 2 * nxt[e]
+                push(ms)
+                push(o)
+                fid[ms] = g
                 o = fid[s]
-            f += 1
+            f += 2
         met.discard(-1)  # the chord's own states were unplaced
         self.next_id = f
-        self.nface += f - base - len(met)
+        self.nface += f - base - 2 * len(met)
 
     def _unplace(self, i: int):
         _, e, u, du, v, dv = self.plan[i]
         mark, self.nface, self.next_id, self.nactive = self.saved[i]
         fid, log = self.fid, self.log
-        for j in range(len(log) - 2, mark - 1, -2):
-            fid[log[j]] = log[j + 1]
+        for j in range(len(log) - 3, mark - 1, -3):
+            o = log[j + 2]
+            fid[log[j]] = o
+            fid[log[j + 1]] = o ^ 1 if o >= 0 else -1
         del log[mark:]
         self.twist[e] = 0
         self._remove(dv, v)

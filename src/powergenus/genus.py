@@ -4,7 +4,8 @@ crosscap computation via embedding search with certificates.
 
 Both surfaces share one driver: the Euler lower bound comes first, and
 planarity (with its Kuratowski witness) is decided only when that bound is
-0, since a positive bound already proves the graph nonplanar.
+0, since a positive bound already proves the graph nonplanar.  The decision
+is kept on the graph object, so the second surface of a block reuses it.
 
 A nonplanar graph's Kuratowski witness comes from its shortest nonplanar
 BFS prefix, cut down vertex by vertex to a vertex-minimal nonplanar induced
@@ -305,7 +306,10 @@ def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
     if level >= 1:
         lower_cert = {"method": "euler_bound", "value": level}
     else:
-        pl = is_planar(graph)
+        # decided once per graph object, for both surfaces
+        if graph.planarity is None:
+            object.__setattr__(graph, "planarity", is_planar(graph))
+        pl = graph.planarity
         if pl.planar:
             return GenusResult("exact", 0, 0,
                                {"method": "euler_bound", "value": 0},

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import networkx as nx
 import numpy as np
@@ -16,12 +16,16 @@ class Graph:
     """A simple undirected graph with labeled vertices.
 
     Edges are stored as a sorted tuple of index pairs (u < v) so iteration
-    order is deterministic across runs.
+    order is deterministic across runs.  ``planarity`` holds the graph's
+    ``genus.is_planar`` result once the genus driver has asked for it; it
+    belongs to this object only and takes no part in equality.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[str, ...] = ()
+    planarity: object = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         norm = sorted({(min(u, v), max(u, v)) for u, v in self.edges})

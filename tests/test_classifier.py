@@ -21,6 +21,24 @@ def test_reduction_set_z2xz6():
     assert len(cls.reduction_set(g)) == 12  # three hexagons cover the group
 
 
+def test_match_catalog_builds_only_same_order(monkeypatch):
+    """Classifying a Table-2 group of order 24 builds only the order-24
+    catalog candidates, not the other orders of Table 2."""
+    g = cat.get("[24,8]")
+    built = []
+    real = cat.get
+
+    def recording(label):
+        built.append(label)
+        return real(label)
+
+    monkeypatch.setattr(cat, "get", recording)
+    v = cls.classify(g)
+    assert v.orientable == "two" and v.table1_label == "[24,8]"
+    assert built == ["[24,7]", "[24,8]"]
+    assert all(cat.entry(label).expected_order == 24 for label in built)
+
+
 def test_reduction_set_s3():
     assert len(cls.reduction_set(gr.symmetric(3))) == 1
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -98,6 +99,22 @@ def test_search_tree_sizes_pinned():
     out = em.search_embedding(pg.complete_graph(8), 4, signed=False)
     assert out.status == "found" and out.nodes == 14330
     assert out.trace.euler_genus == 4
+
+
+@pytest.mark.parametrize("graph, target, signed, digest", [
+    (pg.complete_graph(8), 4, False,
+     "91034208ba6fe1b77309a334a0426165caa36ea10ca67615be7268989f49b9b0"),
+    (pg.complete_graph(7), 3, True,
+     "921a25142328599d47c9e2644247be91dc26a246981f99541171ef3fcc3bce88"),
+    (hexagon_union(3), 3, True,
+     "ca3e8a21d9de1efe09ec0981c2f916f288f727bc11f6be1f6c83f33baf1535b9"),
+], ids=["K8-euler4", "K7-crosscap3", "hexagon3-crosscap3"])
+def test_found_embeddings_pinned(graph, target, signed, digest):
+    """The first embedding found, not just the node count: a search that
+    visits children in another order fails here even if its count holds."""
+    out = em.search_embedding(graph, target, signed=signed)
+    assert out.status == "found"
+    assert hashlib.sha256(repr(out.embedding).encode()).hexdigest() == digest
 
 
 def test_search_deeper_than_recursion_limit():
@@ -266,7 +283,8 @@ def test_gap_corners_on_mirror_faces(n, signed, rnd):
 
 class _RetraceChecked(em._Searcher):
     """A searcher that, at every node, checks its incremental face ids and
-    Euler genus against a retrace of the partial map from scratch."""
+    Euler genus against a retrace of the partial map from scratch, and that
+    the deck image of each placed state is on the mirror face id ^ 1."""
 
     checked = 0
 
@@ -279,6 +297,11 @@ class _RetraceChecked(em._Searcher):
         assert len(pairs) == len({f for f, _ in pairs}) == nface
         assert all(self.fid[s] == -1 for s in range(4 * self.m)
                    if s not in states)
+        for s in range(4 * self.m):
+            d = s >> 1
+            mirror = 2 * (d ^ 1) + (1 ^ (s & 1) ^ self.twist[d >> 1])
+            f = self.fid[s]
+            assert self.fid[mirror] == (f ^ 1 if f >= 0 else -1)
         active = {em.dart_tail(self.graph, d) for d in darts}
         assert self._euler_genus(i) == 2 - (len(active) - i + nface // 2)
         self.checked += 1

@@ -100,6 +100,40 @@ def test_is_planar():
                for u, v in w.edges)
 
 
+def test_planarity_decided_once_per_graph(monkeypatch):
+    """genus_exact then crosscap_exact on one block whose Euler bound is 0
+    decide planarity once and share the result; an equal but new Graph is
+    decided again, so nothing is kept by value."""
+    calls = []
+    real = gn.is_planar
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(gn, "is_planar", counting)
+    dic3_block = next(b for b in gn.blocks(pg.power_graph(cat.get("Dic3")))
+                      if b.m == 28)
+    for block, planar in ((pg.complete_graph(4), True), (dic3_block, False)):
+        calls.clear()
+        og, ng = gn.genus_exact(block), gn.crosscap_exact(block)
+        assert len(calls) == 1 and calls[0] is block
+        assert block.planarity.planar == planar
+        if planar:
+            assert (og.value, ng.value) == (0, 0)
+            assert og.upper_certificate["rotation"] \
+                is ng.upper_certificate["rotation"]
+        else:
+            assert (og.value, ng.value) == (1, 1)
+            witness = og.lower_certificate["witness"]
+            assert witness is ng.lower_certificate["witness"]
+            assert witness is block.planarity.witness
+        fresh = pg.Graph(block.n, block.edges, block.labels)
+        assert fresh == block and fresh.planarity is None
+        gn.genus_exact(fresh)
+        assert len(calls) == 2 and calls[1] is fresh
+
+
 def _assert_kuratowski_witness(graph, w):
     """w is a subgraph of graph under graph's labels, nonplanar, planar after
     deleting any one edge, and vertex-minimal: graph's induced subgraph on
