@@ -333,15 +333,30 @@ def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
     # of an orientable one makes it nonorientable with crosscap at most 2g + 2
     rs = rotation_from_adjacency(graph)
     if signed:
-        bridges = {frozenset(e) for e in nx.bridges(graph.to_networkx())}
-        flip = next(e for e, edge in enumerate(graph.edges)
-                    if frozenset(edge) not in bridges)
+        adj = graph.adjacency()
+        flip = next(e for e, (u, v) in enumerate(graph.edges)
+                    if _joined_without_edge(adj, u, v))
         rs = RotationSystem(rs.rotations,
                             tuple(-1 if e == flip else 1 for e in range(graph.m)))
     tr = trace_faces(graph, rs)
     assert tr.orientable != signed
     return GenusResult("bounds", level, tr.crosscap if signed else tr.genus,
                        lower_cert, _embedding_certificate(rs, tr))
+
+
+def _joined_without_edge(adj: list[set[int]], u: int, v: int) -> bool:
+    """Whether u and v stay connected when the edge u-v is removed, i.e.
+    whether that edge is no bridge."""
+    seen, stack = {u}, [u]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y == v and x != u:
+                return True
+            if y not in seen and y != v:
+                seen.add(y)
+                stack.append(y)
+    return False
 
 
 # ---------------------------------------------------------------------------

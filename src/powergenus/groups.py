@@ -1,8 +1,9 @@
 """Finite group kernel: Cayley tables, element arithmetic, subgroup machinery.
 
 Groups are stored as full multiplication tables (orders stay <= 144 in every
-catalog use, so the O(n^2) table and O(n^3) validation sweeps are cheap);
-constructors refuse orders above ``MAX_ORDER`` before allocating a table.
+catalog use); constructors refuse orders above ``MAX_ORDER`` before
+allocating a table.  Validation and the isomorphism invariants are
+whole-table numpy operations.
 The identity is always normalized to index 0, and all values are immutable
 after construction.
 """
@@ -29,15 +30,49 @@ from .errors import (
 ISO_ORDER_CAP = 144
 
 # Constructors refuse larger orders before allocating the n x n table
-# (4 MiB of int32 at this order), since validation costs O(n^3) time.
+# (4 MiB of int32 at this order).
 MAX_ORDER = 1024
-# entries compared per associativity block in FiniteGroup.validate
-_ASSOC_CELLS = 1 << 22
+# FiniteGroup.validate compares all n^3 triples in one gather up to this
+# order, where that is cheaper than Light's test on a generating set
+_FULL_ASSOC_MAX = 40
 
 
 def _check_order(n: int) -> None:
     if n > MAX_ORDER:
         raise InvalidParameter(f"order {n} exceeds the table limit {MAX_ORDER}")
+
+
+def _table_generators(t: np.ndarray) -> list[int] | None:
+    """Elements that generate the table under its product, read off the
+    table itself, or None when the table is no group.
+
+    Start from the closure C = {0}: add the first element outside C, then
+    close C under products until it stops growing, until C is everything.
+    C grows only by products, so the elements added generate it.  In a
+    group, C is a subgroup H before each addition and at least H and the
+    coset Hg after it, so C doubles; and C_k, after k rounds of C * C,
+    holds every product of 2^k elements, so closing takes at most
+    n.bit_length() + 1 rounds.  A table that breaks either bound is no
+    group, and its work stays O(n^2 log^2 n).
+    """
+    n = len(t)
+    member = np.zeros(n, dtype=bool)
+    member[0] = True
+    gens, size = [], 1
+    while size < n:
+        gens.append(int(np.argmin(member)))
+        member[gens[-1]] = True
+        for _ in range(n.bit_length() + 1):
+            c = np.flatnonzero(member)
+            member[t[np.ix_(c, c)]] = True
+            if np.count_nonzero(member) == len(c):
+                break
+        else:
+            return None
+        if len(c) < 2 * size:
+            return None
+        size = len(c)
+    return gens
 
 
 class FiniteGroup:
@@ -117,7 +152,18 @@ class FiniteGroup:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Full closure/identity/inverse/associativity sweep."""
+        """Closure, identity, inverse and associativity checks.
+
+        Associativity is Light's test.  Let A be the set of g with
+        (x*g)*y == x*(g*y) for all x, y.  A holds the identity and is closed
+        under products: for a, b in A, (x*(a*b))*y = ((x*a)*b)*y =
+        (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y).  So A is the whole table
+        once it holds a generating set S, and only the g in S are checked.
+        An associative table that passed the identity and inverse checks
+        (every element has a left inverse) is a group, so a table for which
+        ``_table_generators`` finds no group is not associative either.
+        Small tables compare all triples in one gather instead.
+        """
         t = self.table
         n = self.order
         if t.min() < 0 or t.max() >= n:
@@ -126,13 +172,16 @@ class FiniteGroup:
             raise InvalidParameter("element 0 is not a two-sided identity")
         if not np.array_equal(np.sort(np.where(t == 0)[1]), np.arange(n)):
             raise InvalidParameter("some element has no two-sided inverse")
-        # (i*j)*k == i*(j*k) for all triples, vectorized over a block of
-        # rows i at a time so memory stays O(block * n^2), not O(n^3)
-        block = max(1, _ASSOC_CELLS // (n * n))
-        for lo in range(0, n, block):
-            rows = t[lo:lo + block]
-            if not np.array_equal(t[rows], rows[:, t]):
-                raise InvalidParameter("table is not associative")
+        if n <= _FULL_ASSOC_MAX:
+            # [x, g, y] -> (x*g)*y against x*(g*y), over every g
+            associative = np.array_equal(t[t], t[:, t])
+        else:
+            s = _table_generators(t)
+            # per g: [x, y] -> (x*g)*y against x*(g*y)
+            associative = s is not None and all(
+                np.array_equal(t[t[:, g]], t[:, t[g]]) for g in s)
+        if not associative:
+            raise InvalidParameter("table is not associative")
 
     # -- powers and element orders -------------------------------------------
 
@@ -535,16 +584,11 @@ def _closure_of(g: FiniteGroup, elems) -> set[int]:
 
 def _fingerprints(g: FiniteGroup) -> list[tuple[int, int]]:
     """(element order, conjugacy class size) per element."""
-    orders = g.element_orders()
-    out = [None] * g.order
-    for x in range(g.order):
-        if out[x] is None:
-            cls = conjugacy_class(g, x)
-            fp = None
-            for y in cls:
-                fp = (int(orders[y]), len(cls))
-                out[y] = fp
-    return out
+    t, n = g.table, g.order
+    # conj[h, x] = h^-1 x h: column x lists x's conjugates, with repeats
+    conj = np.sort(t[t[g.inverses()], np.arange(n)[:, None]], axis=0)
+    sizes = 1 + np.count_nonzero(conj[1:] != conj[:-1], axis=0)
+    return list(zip(g.element_orders().tolist(), sizes.tolist()))
 
 
 def _word_tree(g: FiniteGroup, gens):
@@ -584,12 +628,11 @@ def _is_hom(a: FiniteGroup, b: FiniteGroup, phi) -> bool:
     return np.array_equal(p[ta], tb[np.ix_(p, p)])
 
 
-def _iso_search(a: FiniteGroup, b: FiniteGroup):
-    """Backtracking generator-image search; the first isomorphism map, or
-    None when there is none."""
+def _iso_search(a: FiniteGroup, b: FiniteGroup, fpa, fpb):
+    """Backtracking generator-image search, with candidate images matched
+    by the fingerprints ``fpa`` of a and ``fpb`` of b; the first
+    isomorphism map, or None when there is none."""
     gens = generating_set(a)
-    fpa = _fingerprints(a)
-    fpb = _fingerprints(b)
     cand = []
     for s in gens:
         cs = [y for y in range(b.order) if fpb[y] == fpa[s]]
@@ -609,9 +652,12 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
         return False
     if a.order > ISO_ORDER_CAP or b.order > ISO_ORDER_CAP:
         raise OrderCapExceeded(f"isomorphism search capped at order {ISO_ORDER_CAP}")
-    if sorted(_fingerprints(a)) != sorted(_fingerprints(b)):
+    if np.array_equal(a.table, b.table):
+        return True  # the identity map
+    fpa, fpb = _fingerprints(a), _fingerprints(b)
+    if sorted(fpa) != sorted(fpb):
         return False
-    return _iso_search(a, b) is not None
+    return _iso_search(a, b, fpa, fpb) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -28,12 +29,16 @@ class Graph:
                               compare=False)
 
     def __post_init__(self):
-        norm = sorted({(min(u, v), max(u, v)) for u, v in self.edges})
-        if any(u == v for u, v in norm):
-            raise InvalidVertex("loops are not allowed")
-        if norm and not (0 <= norm[0][0] and norm[-1][1] < self.n):
+        edges = tuple(map(tuple, self.edges))
+        # power_graph and induced pass sorted (u < v) pairs: kept as given
+        if not (all(u < v for u, v in edges)
+                and all(map(operator.lt, edges, edges[1:]))):
+            if any(u == v for u, v in edges):
+                raise InvalidVertex("loops are not allowed")
+            edges = tuple(sorted({(min(u, v), max(u, v)) for u, v in edges}))
+        if edges and not (0 <= edges[0][0] and max(v for _, v in edges) < self.n):
             raise InvalidVertex("edge endpoint out of range")
-        object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "edges", edges)
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(self.n)))
         elif len(self.labels) != self.n:

@@ -221,6 +221,25 @@ def test_genus_result_bounds_refuse_value():
     assert ok, msg
 
 
+def test_signed_fallback_flips_first_non_bridge_edge():
+    """K5 on 1..5 with the pendant edge (0, 1) first: the flipped edge is
+    the first one that networkx does not call a bridge."""
+    k5 = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
+    graph = pg.Graph(6, tuple([(0, 1)] + k5))
+    res = gn.crosscap_exact(graph, gn.Budget(max_nodes=1))
+    assert res.kind == "bounds"
+    bridges = {frozenset(e) for e in nx.bridges(graph.to_networkx())}
+    flip = next(e for e, edge in enumerate(graph.edges)
+                if frozenset(edge) not in bridges)
+    assert flip == 1
+    rs = em.rotation_from_adjacency(graph)
+    rs = em.RotationSystem(rs.rotations, tuple(-1 if e == flip else 1
+                                               for e in range(graph.m)))
+    uc = res.upper_certificate
+    assert uc["rotation"] == rs
+    assert (res.lower, res.upper) == (1, em.trace_faces(graph, rs).crosscap)
+
+
 def test_subgraph_bound_when_euler_bound_is_zero():
     """K3,3 with one edge subdivided has Euler bound 0 on both surfaces, so
     its lower bound 1 comes from a Kuratowski witness."""

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -261,13 +262,121 @@ def test_table_validation():
 def test_table_validation_rejects_non_associative_loop():
     # Z200 with one intercalate swapped is still a Latin square with
     # identity 0 and two-sided inverses, so only associativity fails; at
-    # this order the check runs over several blocks of rows
+    # this order the check is Light's test on the generating set {1}
     n = 200
     t = np.add.outer(np.arange(n), np.arange(n)) % n
     for a in (n - 3, n // 2 - 3):
         t[a, 1], t[a, 1 + n // 2] = t[a, 1 + n // 2], t[a, 1]
     with pytest.raises(InvalidParameter, match="not associative"):
         gr.FiniteGroup(t)
+
+
+def _ref_associative(t) -> bool:
+    """(x*y)*z == x*(y*z) over every triple, one at a time."""
+    t = t.tolist()
+    r = range(len(t))
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in r for y in r for z in r)
+
+
+def _swap_intercalates(t, rng, swaps):
+    """t with ``swaps`` intercalates off row and column 0 swapped: rows a, b
+    and columns c, d with t[a, c] == t[b, d] and t[a, d] == t[b, c] trade
+    their two values.  The result is still a Latin square with identity 0."""
+    t = t.copy()
+    n = len(t)
+    while swaps:
+        a, b = rng.choice(np.arange(1, n), size=2, replace=False)
+        cols = np.arange(n)
+        d = np.argsort(t[b])[t[a]]  # t[b, d[c]] == t[a, c]
+        ok = (cols != 0) & (d != 0) & (cols != d) & (t[a, d] == t[b])
+        if ok.any():
+            c = rng.choice(np.flatnonzero(ok))
+            for row in (a, b):
+                t[row, [c, d[c]]] = t[row, [d[c], c]]
+            swaps -= 1
+    return t
+
+
+Z2_4 = gr.direct_product(gr.direct_product(gr.cyclic(2), gr.cyclic(2)),
+                         gr.direct_product(gr.cyclic(2), gr.cyclic(2)))
+
+
+# orders up to 40 take the all-triples check, larger ones Light's test;
+# with light_only every table takes Light's test
+@pytest.mark.parametrize("light_only", [False, True])
+@pytest.mark.parametrize("build, tables", [
+    pytest.param(lambda: gr.dihedral(8), 40, id="D8"),
+    pytest.param(lambda: gr.direct_product(gr.cyclic(2), gr.cyclic(6)), 30,
+                 id="Z2xZ6"),
+    pytest.param(lambda: Z2_4, 30, id="Z2^4"),
+    pytest.param(lambda: gr.dihedral(36), 20, id="D36"),
+    pytest.param(lambda: gr.dihedral(48), 10, id="D48"),
+    pytest.param(lambda: gr.direct_product(Z2_4, gr.cyclic(4)), 10,
+                 id="Z2^4xZ4"),
+])
+def test_associativity_check_matches_triple_loop(build, tables, light_only,
+                                                 monkeypatch):
+    if light_only:
+        monkeypatch.setattr(gr, "_FULL_ASSOC_MAX", 0)
+    g = build()
+    rng = np.random.default_rng(g.order)
+    outcomes = set()
+    for _ in range(tables):
+        t = _swap_intercalates(_relabelled(g, rng.integers(1 << 30)).table,
+                               rng, rng.integers(3))
+        associative = _ref_associative(t)
+        outcomes.add(associative)
+        if associative:
+            assert np.array_equal(gr.FiniteGroup(t).table, t)
+        else:
+            with pytest.raises(InvalidParameter, match="not associative"):
+                gr.FiniteGroup(t)
+    assert outcomes == {True, False}
+
+
+def test_table_generators_need_four_for_z2_4():
+    gens = gr._table_generators(Z2_4.table)
+    assert len(gens) == 4
+    assert len(gr._closure_of(Z2_4, gens)) == 16
+    # Light's test on all four: swapping an intercalate is caught
+    t = _swap_intercalates(Z2_4.table, np.random.default_rng(4), 1)
+    assert not _ref_associative(t)
+    assert not np.array_equal(t[t[:, gens]], t[:, t[gens]])
+
+
+def test_largest_tables_build():
+    assert gr.cyclic(gr.MAX_ORDER).order == gr.MAX_ORDER
+    assert gr.symmetric(6).order == 720
+
+
+def _z_n_swapped(n):
+    """Z_n with one intercalate swapped: a Latin square."""
+    t = np.add.outer(np.arange(n), np.arange(n)) % n
+    a = n // 2 - 3
+    for row in (a, a + n // 2):
+        t[row, [1, 1 + n // 2]] = t[row, [1 + n // 2, 1]]
+    return t
+
+
+def _max_plus(n, step):
+    """max(x, y) + step (at most n - 1) off the diagonal and 0 on it, with
+    the identity in row and column 0: one 0 per column, but rows repeat."""
+    idx = np.arange(n)
+    t = np.minimum(np.maximum.outer(idx, idx) + step, n - 1)
+    t[0], t[:, 0] = idx, idx
+    t[idx, idx] = 0
+    return t
+
+
+@pytest.mark.parametrize("build", [
+    _z_n_swapped,
+    lambda n: _max_plus(n, 0),  # each generator adds one element
+    lambda n: _max_plus(n, 1),  # each round of closing adds one element
+], ids=["Z_n-swapped", "max", "max+1"])
+def test_non_associative_table_of_largest_order_refused(build):
+    assert not _ref_associative(build(48))
+    with pytest.raises(InvalidParameter, match="not associative"):
+        gr.FiniteGroup(build(gr.MAX_ORDER))
 
 
 @pytest.mark.parametrize("build", [
@@ -366,9 +475,10 @@ def _check_against_reference(g):
     assert spectrum.multiplicities == counts
     assert spectrum.orders == tuple(sorted(counts))
     inv = [next(y for y in range(n) if g.mul(x, y) == 0) for x in range(n)]
-    for x in range(n):
-        ref = frozenset(g.mul(g.mul(inv[h], x), h) for h in range(n))
-        assert gr.conjugacy_class(g, x) == ref
+    classes = [frozenset(g.mul(g.mul(inv[h], x), h) for h in range(n))
+               for x in range(n)]
+    assert [gr.conjugacy_class(g, x) for x in range(n)] == classes
+    assert gr._fingerprints(g) == [(k, len(c)) for k, c in zip(orders, classes)]
     edges = tuple((x, y) for x in range(n) for y in range(x + 1, n)
                   if x in subgroups[y] or y in subgroups[x])
     assert pg.power_graph(g).edges == edges
@@ -379,6 +489,28 @@ def test_queries_match_elementwise_reference(label):
     g = cat.get(label)
     _check_against_reference(g)
     _check_against_reference(_relabelled(g, seed=sum(map(ord, label))))
+
+
+def test_isomorphism_over_catalog():
+    """Each catalog group matches its relabelled copy (a true match with
+    unequal tables), and no two same-order catalog groups match."""
+    groups = [cat.get(e.label) for e in cat.entries()]
+    for g in groups:
+        copy = _relabelled(g, seed=g.order)
+        assert not np.array_equal(copy.table, g.table)
+        assert gr.is_isomorphic(g, copy) and gr.is_isomorphic(copy, g)
+    for a, b in itertools.combinations(groups, 2):
+        if a.order == b.order:
+            assert not gr.is_isomorphic(a, b), (a.label, b.label)
+
+
+def test_equal_tables_isomorphic_without_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(gr, "_iso_search", no_search)
+    g = cat.get("SL(2,3)")
+    assert gr.is_isomorphic(g, gr.FiniteGroup(g.table.copy()))
 
 
 def test_power_table_rows_are_powers():

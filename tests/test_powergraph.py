@@ -36,6 +36,27 @@ def test_complete_graphs():
     assert pg.complete_bipartite(3, 4).m == 12
 
 
+def test_edges_normalised():
+    want = ((0, 1), (0, 2), (1, 3))
+    for edges in ([(0, 1), (0, 2), (1, 3)], [(1, 0), (2, 0), (3, 1)],
+                  [(1, 3), (0, 2), (0, 1)], [(0, 1), (1, 0), (0, 2), (1, 3)],
+                  [(0, 1), (0, 1), (0, 2), (1, 3)], [[0, 1], [0, 2], [1, 3]]):
+        assert pg.Graph(4, edges).edges == want
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1), (1, 1)),                   # loop, sorted input
+    ((2, 2), (0, 1)),                   # loop, unsorted input
+    ((0, 1), (1, 4)),                   # out of range, sorted input
+    ((0, 4), (1, 2)),                   # out of range, not on the last edge
+    ((2, 1), (0, 9)),                   # out of range, unsorted input
+    ((-1, 2), (0, 1)),                  # negative endpoint
+])
+def test_bad_edges_refused(edges):
+    with pytest.raises(InvalidVertex):
+        pg.Graph(4, edges)
+
+
 def test_induced():
     k5 = pg.complete_graph(5)
     sub = pg.induced(k5, [0, 2, 4])
