@@ -66,17 +66,19 @@ def rotation_from_adjacency(graph: Graph) -> RotationSystem:
 def validate_rotation(graph: Graph, rs) -> None:
     if len(rs.rotations) != graph.n:
         raise InvalidRotation("one cyclic order per vertex required")
+    tails = [w for edge in graph.edges for w in edge]  # tail of each dart
+    ndarts = len(tails)
     seen: set[int] = set()
     for v, rot in enumerate(rs.rotations):
         for d in rot:
-            if not 0 <= d < 2 * graph.m:
+            if not 0 <= d < ndarts:
                 raise InvalidRotation(f"dart {d} out of range")
-            if dart_tail(graph, d) != v:
+            if tails[d] != v:
                 raise InvalidRotation(f"dart {d} listed at wrong vertex {v}")
             if d in seen:
                 raise InvalidRotation(f"dart {d} appears twice")
             seen.add(d)
-    if len(seen) != 2 * graph.m:
+    if len(seen) != ndarts:
         raise InvalidRotation("some dart is missing from the rotation system")
     if rs.is_signed() and len(rs.signs) != graph.m:
         raise InvalidRotation("need one sign per edge")
@@ -305,18 +307,37 @@ class _Searcher:
     (1 ^ i ^ twist[d >> 1]), and ids are allocated in pairs so that the
     mirror of face f is face f ^ 1.  A bridge to a new vertex after anchor
     a needs no walk: its sheet-0 states join the face of the corner
-    (nxt[a], 0) and its sheet-1 states the face of (a, 1), the mirror.  A
-    chord re-walks only the cover faces through the two states of its dart
-    at u, giving each a fresh id pair and writing every state's new id and
-    its mirror's; the chord's states at v are the mirrors of those at u.
-    Every face it merges or splits is met by those walks or their mirrors,
-    so the face count changes by the number of new faces minus twice the
-    number of distinct old face pairs met.  Each overwritten (state,
-    mirror, old id) goes on an undo log, and removing an edge replays the
-    log back to the mark taken when it went in.
+    (nxt[a], 0) and its sheet-1 states the face of (a, 1), the mirror.
+
+    A chord (du at u after anchor a, dv at v after anchor b, twist t) whose
+    sheet-t v-corner lies on x0, the face of the u-corner (nxt[a], 0), is a
+    split.  Cut at its two corners, x0 becomes A, the face through (du, 0),
+    and B, the face through (dv, t); its mirror x0 ^ 1 becomes A' through
+    (dv, 1 - t) and B' through (du, 1).  The pairs (A, A') and (B, B') are
+    deck images of each other, since tau(du, 0) = (dv, 1 - t) and
+    tau(dv, t) = (du, 1).  The search walks A and B' in lockstep until one
+    closes and relabels only that one, the shorter, with a fresh id pair:
+    each of its states gets the new id and that state's mirror the other
+    id of the pair.  The longer side keeps its ids: its chord state gets
+    the id of its face successor, which is x0 for (du, 0) and x0 ^ 1 for
+    (du, 1), and that state's mirror the partner id.  Every state of the
+    four faces then carries its face's id with the mirror on id ^ 1, and
+    nothing else changed, so ``fid[tau(s)] == fid[s] ^ 1`` still holds; the
+    face count grows by 2.  Any other chord merges faces: it re-walks the
+    cover faces through the two states of du, giving each a fresh id pair
+    and writing every state's new id and its mirror's.  Every face it
+    merges is met by those walks or their mirrors, so the face count
+    changes by the number of new faces minus twice the number of distinct
+    old face pairs met.  Each overwritten (state, mirror, old id) goes on
+    an undo log, and removing a chord replays the log back to the mark
+    taken when it went in, then sets the chord's own four states, which
+    the log may hold with any old id, back to -1.  Bridges and the first
+    edge write only their own four states and log nothing.  Ids are never
+    reused, so a fresh id is always unused.
 
     The search is iterative, one stack entry per placed edge, so its depth
-    is not bounded by Python's recursion limit.
+    is not bounded by Python's recursion limit.  Placing and removing edges
+    is written out inside ``run``; ``_children`` lists a node's moves.
     """
 
     def __init__(self, graph: Graph, target: int, signed: bool,
@@ -334,12 +355,9 @@ class _Searcher:
         self.rep = [-1] * graph.n
         self.count = [0] * graph.n
         self.fid = [-1] * (4 * self.m)
-        self.nface = 0
+        self.nface = 0  # both counters as of the node being expanded
         self.nactive = 0
-        self.next_id = 0
         self.log: list[int] = []  # flat (state, mirror, old id) triples
-        self.saved = [None] * self.m  # counters and log mark per position
-        self.nodes = 0
 
     def _plan(self, order, activating):
         """Per insertion position: (kind, edge, u, dart at u, v, dart at v),
@@ -361,85 +379,181 @@ class _Searcher:
             plan.append((kind, e, u, du, v, dv))
         return plan
 
-    # -- linked-list rotation maintenance -----------------------------------
-
-    def _insert(self, d: int, anchor: int, v: int):
-        nxt, prv = self.nxt, self.prv
-        if self.count[v] == 0:
-            nxt[d] = prv[d] = d
-            self.rep[v] = d
-        else:
-            n2 = nxt[anchor]
-            nxt[anchor] = d
-            prv[d] = anchor
-            nxt[d] = n2
-            prv[n2] = d
-        self.count[v] += 1
-
-    def _remove(self, d: int, v: int):
-        nxt, prv = self.nxt, self.prv
-        if self.count[v] == 1:
-            self.rep[v] = -1
-        else:
-            p, n2 = prv[d], nxt[d]
-            nxt[p] = n2
-            prv[n2] = p
-            if self.rep[v] == d:
-                self.rep[v] = p
-        self.count[v] -= 1
-
-    def _anchors(self, v: int) -> list[int]:
-        out = []
-        d = self.rep[v]
-        for _ in range(self.count[v]):
-            out.append(d)
-            d = self.nxt[d]
-        return out
-
-    def _anchor_choices(self, v: int) -> list[int]:
-        if v == self.root and self.count[v] == 2:
-            return [self.rep[v]]  # reflection symmetry: pin the third dart
-        return self._anchors(v)
-
-    # -- search --------------------------------------------------------------
-
     def run(self) -> SearchOutcome:
         deadline = time.monotonic() + self.budget.max_seconds
         max_nodes = self.budget.max_nodes
+        m, plan, signed = self.m, self.plan, self.signed
+        nxt, prv, fid, twist = self.nxt, self.prv, self.fid, self.twist
+        rep, count, log = self.rep, self.count, self.log
+        push = log.append
+        # per chord position: the log length and face count before its move
+        marks = [0] * m
+        faces = [0] * m
+        nface = nactive = next_id = nodes = 0
         stack: list[list] = []  # per placed position: [children, next index]
         while True:
             i = len(stack)
-            if i < self.m:
-                self.nodes += 1
-                if self.nodes > max_nodes or (
-                        self.nodes % 4096 == 0 and time.monotonic() > deadline):
-                    return SearchOutcome("budget", nodes=self.nodes)
+            if i < m:
+                nodes += 1
+                if nodes > max_nodes or (
+                        nodes % 4096 == 0 and time.monotonic() > deadline):
+                    return SearchOutcome("budget", nodes=nodes)
+                self.nface, self.nactive = nface, nactive
                 stack.append([self._children(i), 0])
-            elif self.signed and not any(self.twist):
+            elif signed and not any(twist):
                 pass  # an orientable completion: not an N_k certificate
             else:
                 emb = self._snapshot()
                 tr = trace_faces(self.graph, emb)
                 assert tr.euler_genus <= self.target
-                return SearchOutcome("found", emb, tr, self.nodes)
+                return SearchOutcome("found", emb, tr, nodes)
             while stack:  # backtrack to the deepest untried child
                 top = stack[-1]
                 i = len(stack) - 1
-                k = top[1]
-                if k:
-                    self._unplace(i)
-                if k < len(top[0]):
-                    self._place(i, top[0][k])
-                    top[1] = k + 1
+                children, k = top
+                kind, e, u, du, v, dv = plan[i]
+                if k:  # take the previous move at position i back out
+                    if kind == _CHORD:
+                        mark = marks[i]
+                        for j in range(len(log) - 3, mark - 1, -3):
+                            o = log[j + 2]
+                            fid[log[j]] = o
+                            fid[log[j + 1]] = o ^ 1
+                        del log[mark:]
+                        nface = faces[i]
+                        twist[e] = 0
+                        p, n2 = prv[dv], nxt[dv]
+                        nxt[p] = n2
+                        prv[n2] = p
+                        count[v] -= 1
+                    elif kind == _BRIDGE:
+                        count[v] = 0
+                        nactive -= 1
+                    else:
+                        count[v] = 0
+                        nface = nactive = 0
+                    if kind != _FIRST:  # du has neighbours at u
+                        p, n2 = prv[du], nxt[du]
+                        nxt[p] = n2
+                        prv[n2] = p
+                    count[u] -= 1
+                    fid[2 * du] = fid[2 * du + 1] = -1
+                    fid[2 * dv] = fid[2 * dv + 1] = -1
+                if k == len(children):
+                    stack.pop()
+                    continue
+                move = children[k]
+                top[1] = k + 1
+                if kind == _CHORD:
+                    a, b, t = move
+                    marks[i] = len(log)
+                    faces[i] = nface
+                    n2 = nxt[a]
+                    x0 = fid[2 * n2]
+                    split = x0 == (fid[2 * b + 1] if t else fid[2 * nxt[b]])
+                    nxt[a] = du
+                    prv[du] = a
+                    nxt[du] = n2
+                    prv[n2] = du
+                    n2 = nxt[b]
+                    nxt[b] = dv
+                    prv[dv] = b
+                    nxt[dv] = n2
+                    prv[n2] = dv
+                    count[u] += 1
+                    count[v] += 1
+                    twist[e] = t
+                    if not split:
+                        next_id, grown = self._walk_chord(du, next_id)
+                        nface += grown
+                        break
+                    # walk A from (du, 0) and B' from (du, 1) until one closes
+                    sa = s0 = 2 * du
+                    sb = s0 + 1
+                    while True:
+                        d = sa >> 1
+                        if (sa ^ twist[d >> 1]) & 1:
+                            sa = 2 * prv[d ^ 1] + 1
+                        else:
+                            sa = 2 * nxt[d ^ 1]
+                        if sa == s0:
+                            break
+                        d = sb >> 1
+                        if (sb ^ twist[d >> 1]) & 1:
+                            sb = 2 * prv[d ^ 1] + 1
+                        else:
+                            sb = 2 * nxt[d ^ 1]
+                        if sb == s0 + 1:
+                            s0 += 1
+                            break
+                    # the longer side keeps x0 (A) or x0 ^ 1 (B')
+                    ob = x0 ^ (s0 & 1) ^ 1
+                    fid[s0 ^ 1] = ob
+                    fid[2 * dv + (s0 & 1 ^ t)] = ob ^ 1
+                    # the shorter side gets a fresh pair; its chord state is
+                    # logged with the others, and reset to -1 on removal
+                    f = next_id
+                    g = f ^ 1
+                    next_id += 2
+                    o = ob ^ 1
+                    s = s0
+                    while True:
+                        d = s >> 1
+                        e2 = d ^ 1
+                        if (s ^ twist[d >> 1]) & 1:
+                            ms = 2 * e2
+                            nx = 2 * prv[e2] + 1
+                        else:
+                            ms = 2 * e2 + 1
+                            nx = 2 * nxt[e2]
+                        push(s)
+                        push(ms)
+                        push(o)
+                        fid[s] = f
+                        fid[ms] = g
+                        s = nx
+                        if s == s0:
+                            break
+                    nface += 2
                     break
-                stack.pop()
+                if kind == _BRIDGE:  # joins the faces of its gap's corners
+                    a = move
+                    n2 = nxt[a]
+                    x0 = fid[2 * n2]
+                    nxt[a] = du
+                    prv[du] = a
+                    nxt[du] = n2
+                    prv[n2] = du
+                    count[u] += 1
+                else:  # two mirror faces, one per sheet
+                    x0 = next_id
+                    next_id += 2
+                    nface += 2
+                    nactive += 1
+                    nxt[du] = prv[du] = du
+                    rep[u] = du
+                    count[u] = 1
+                nxt[dv] = prv[dv] = dv
+                rep[v] = dv
+                count[v] = 1
+                nactive += 1
+                # sheet 0 on face x0, sheet 1 on its mirror; a tree edge is
+                # untwisted, so (du, l) and (dv, 1 - l) are mirrors
+                fid[2 * du] = fid[2 * dv] = x0
+                fid[2 * du + 1] = fid[2 * dv + 1] = x0 ^ 1
+                break
             else:
-                return SearchOutcome("exhausted", nodes=self.nodes)
+                return SearchOutcome("exhausted", nodes=nodes)
 
     def _snapshot(self):
-        rots = []
+        nxt, rots = self.nxt, []
         for v in range(self.graph.n):
-            rots.append(tuple(self._anchors(v)))
+            rot = []
+            d = self.rep[v]
+            for _ in range(self.count[v]):
+                rot.append(d)
+                d = nxt[d]
+            rots.append(tuple(rot))
         signs = tuple(-1 if t else 1 for t in self.twist) if self.signed else None
         return RotationSystem(tuple(rots), signs)
 
@@ -450,12 +564,22 @@ class _Searcher:
     def _children(self, i: int) -> list:
         """The moves at position i, in search order: the anchor at u for a
         bridge (-1, none, for the first edge), (a, b, twist) for a chord
-        whose Euler-genus delta fits under the target."""
+        whose Euler-genus delta fits under the target.  The anchors at a
+        vertex run along its rotation from its first dart; at the root's
+        third dart only the first dart is tried (the reflection pin)."""
         kind, _, u, _, v, _ = self.plan[i]
         if kind == _FIRST:
             return [-1]
-        if kind == _BRIDGE:
-            return self._anchor_choices(u)  # bridges never change the genus
+        nxt, rep, count, root = self.nxt, self.rep, self.count, self.root
+        nu = 1 if u == root and count[u] == 2 else count[u]
+        if kind == _BRIDGE:  # bridges never change the genus
+            a = rep[u]
+            us = [a]
+            for _ in range(nu - 1):
+                a = nxt[a]
+                us.append(a)
+            return us
+        nv = 1 if v == root and count[v] == 2 else count[v]
         # The gap after anchor a at u is passed by two double-cover states,
         # one per sheet: (nxt[a], 0) and (a, 1).  The chord's two cover
         # lifts join the sheet-0 u-corner to the sheet-t v-corner and the
@@ -468,68 +592,62 @@ class _Searcher:
         # split back), and 2 otherwise (both lifts merge distinct faces).
         slack = self.target - self._euler_genus(i)
         assert slack >= 0
-        fid, nxt = self.fid, self.nxt
-        twists = (0, 1) if self.signed else (0,)
+        fid, signed = self.fid, self.signed
         out = []
         if slack == 0:
             # Only delta 0 fits: group the v-corners (b, t) by face, in scan
             # order, and give each anchor a the group on its face x0.
             by_face: dict[int, list] = {}
-            for b in self._anchor_choices(v):
-                ys = (fid[2 * nxt[b]], fid[2 * b + 1])
-                for t in twists:
-                    by_face.setdefault(ys[t], []).append((b, t))
-            for a in self._anchor_choices(u):
-                for b, t in by_face.get(fid[2 * nxt[a]], ()):
-                    out.append((a, b, t))
+            b = rep[v]
+            for _ in range(nv):
+                nb = nxt[b]
+                y = fid[2 * nb]
+                group = by_face.get(y)
+                if group is None:
+                    by_face[y] = [(b, 0)]
+                else:
+                    group.append((b, 0))
+                if signed:
+                    y = fid[2 * b + 1]
+                    group = by_face.get(y)
+                    if group is None:
+                        by_face[y] = [(b, 1)]
+                    else:
+                        group.append((b, 1))
+                b = nb
+            a = rep[u]
+            for _ in range(nu):
+                na = nxt[a]
+                group = by_face.get(fid[2 * na])
+                if group:
+                    for b, t in group:
+                        out.append((a, b, t))
+                a = na
             return out
-        corners = [(b, (fid[2 * nxt[b]], fid[2 * b + 1]))
-                   for b in self._anchor_choices(v)]
-        for a in self._anchor_choices(u):
+        twists = (0, 1) if signed else (0,)
+        corners = []
+        b = rep[v]
+        for _ in range(nv):
+            corners.append((b, (fid[2 * nxt[b]], fid[2 * b + 1])))
+            b = nxt[b]
+        a = rep[u]
+        for _ in range(nu):
             x0, x1 = fid[2 * nxt[a]], fid[2 * a + 1]
             for b, ys in corners:
                 for t in twists:
                     y = ys[t]
                     if (0 if y == x0 else 1 if y == x1 else 2) <= slack:
                         out.append((a, b, t))
+            a = nxt[a]
         return out
 
-    def _place(self, i: int, move):
-        kind, e, u, du, v, dv = self.plan[i]
-        self.saved[i] = (len(self.log), self.nface, self.next_id, self.nactive)
-        fid, push = self.fid, self.log.append
-        if kind == _CHORD:
-            a, b, t = move
-            self._insert(du, a, u)
-            self._insert(dv, b, v)
-            self.twist[e] = t
-            self._walk_chord(du)
-            return
-        if kind == _FIRST:  # two mirror faces, one per sheet
-            x0 = self.next_id
-            self.next_id += 2
-            self.nface += 2
-            self.nactive += 1
-        else:  # a bridge joins the faces of the two corners of its gap
-            x0 = fid[2 * self.nxt[move]]
-        self._insert(du, move, u)
-        self._insert(dv, -1, v)
-        self.nactive += 1
-        # sheet 0 on face x0, sheet 1 on its mirror; a tree edge is untwisted,
-        # so (du, l) and (dv, 1 - l) are mirrors
-        for s, ms in ((2 * du, 2 * dv + 1), (2 * dv, 2 * du + 1)):
-            push(s)
-            push(ms)
-            push(-1)
-            fid[s] = x0
-            fid[ms] = x0 ^ 1
-
-    def _walk_chord(self, du: int):
+    def _walk_chord(self, du: int, base: int):
         """Walk the new faces through the two states of the chord's dart du,
-        each step also writing the mirror state."""
+        each step also writing the mirror state; ids from ``base`` up are
+        fresh.  Returns the next fresh id and the change in the face count."""
         fid, nxt, prv, twist = self.fid, self.nxt, self.prv, self.twist
         push = self.log.append
-        base = f = self.next_id
+        f = base
         met = set()  # old face pairs, as o >> 1
         for s in (2 * du, 2 * du + 1):
             o = fid[s]
@@ -554,21 +672,7 @@ class _Searcher:
                 o = fid[s]
             f += 2
         met.discard(-1)  # the chord's own states were unplaced
-        self.next_id = f
-        self.nface += f - base - 2 * len(met)
-
-    def _unplace(self, i: int):
-        _, e, u, du, v, dv = self.plan[i]
-        mark, self.nface, self.next_id, self.nactive = self.saved[i]
-        fid, log = self.fid, self.log
-        for j in range(len(log) - 3, mark - 1, -3):
-            o = log[j + 2]
-            fid[log[j]] = o
-            fid[log[j + 1]] = o ^ 1 if o >= 0 else -1
-        del log[mark:]
-        self.twist[e] = 0
-        self._remove(dv, v)
-        self._remove(du, u)
+        return f, f - base - 2 * len(met)
 
 
 def search_embedding(graph: Graph, target_euler_genus: int, *, signed: bool,

@@ -160,8 +160,9 @@ class FiniteGroup:
         (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y).  So A is the whole table
         once it holds a generating set S, and only the g in S are checked.
         An associative table that passed the identity and inverse checks
-        (every element has a left inverse) is a group, so a table for which
-        ``_table_generators`` finds no group is not associative either.
+        (every element has a left and a right inverse) is a group, so a
+        table for which ``_table_generators`` finds no group is not
+        associative either.
         Small tables compare all triples in one gather instead.
         """
         t = self.table
@@ -170,7 +171,10 @@ class FiniteGroup:
             raise InvalidParameter("table entries out of range")
         if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
             raise InvalidParameter("element 0 is not a two-sided identity")
-        if not np.array_equal(np.sort(np.where(t == 0)[1]), np.arange(n)):
+        # exactly one identity in every row and every column: a unique
+        # right and a unique left inverse for each element
+        zero = t == 0
+        if not ((zero.sum(axis=0) == 1).all() and (zero.sum(axis=1) == 1).all()):
             raise InvalidParameter("some element has no two-sided inverse")
         if n <= _FULL_ASSOC_MAX:
             # [x, g, y] -> (x*g)*y against x*(g*y), over every g

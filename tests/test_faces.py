@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,27 @@ def test_validate_rotation():
     bad = em.RotationSystem(rs.rotations[:-1] + ((0, 0),))
     with pytest.raises(InvalidRotation):
         em.validate_rotation(k3, bad)
+
+
+_K3_ROTS = ((0, 2), (1, 4), (3, 5))  # darts 0, 2 at 0; 1, 4 at 1; 3, 5 at 2
+
+
+@pytest.mark.parametrize("rots, signs, message", [
+    (_K3_ROTS[:2], None, "one cyclic order per vertex required"),
+    (((0, 2, 6),) + _K3_ROTS[1:], None, "dart 6 out of range"),
+    (((0, 2, 1),) + _K3_ROTS[1:], None, "dart 1 listed at wrong vertex 0"),
+    (((0, 2, 0),) + _K3_ROTS[1:], None, "dart 0 appears twice"),
+    (((0,),) + _K3_ROTS[1:], None,
+     "some dart is missing from the rotation system"),
+    (_K3_ROTS, (1, 1), "need one sign per edge"),
+    (_K3_ROTS, (1, 0, 1), "signs must be +1 or -1"),
+])
+def test_validate_rotation_messages(rots, signs, message):
+    k3 = pg.complete_graph(3)
+    em.validate_rotation(k3, em.RotationSystem(_K3_ROTS, (1, -1, 1)))
+    with pytest.raises(InvalidRotation) as err:
+        em.validate_rotation(k3, em.RotationSystem(rots, signs))
+    assert str(err.value) == message
 
 
 def test_triangle_planar_trace():
@@ -78,7 +100,7 @@ def test_budget_stops_search():
     k8 = pg.complete_graph(8)
     out = em.search_embedding(k8, 4, signed=False,
                               budget=em.Budget(max_nodes=10, max_seconds=60))
-    assert out.status == "budget" and out.nodes <= 11
+    assert out.status == "budget" and out.nodes == 11
 
 
 def test_k7_crosscap_exception():
@@ -267,6 +289,30 @@ def _random_connected(n, rnd):
     return pg.Graph(n, tuple(sorted(edges)))
 
 
+def test_search_trees_pinned():
+    """One digest over the status, node count and first-found embedding of
+    144 searches capped at 2,000 nodes: unsigned and signed, targets 0-3,
+    on K4-K7, K3,3, hexagon_union(2) and 12 seeded random graphs.  A kernel
+    that explores any tree differently fails here."""
+    graphs = [pg.complete_graph(n) for n in (4, 5, 6, 7)]
+    graphs += [pg.complete_bipartite(3, 3), hexagon_union(2)]
+    graphs += [_random_connected(6 + seed % 4, random.Random(seed))
+               for seed in range(12)]
+    digest = hashlib.sha256()
+    statuses = set()
+    for graph in graphs:
+        for signed in (False, True):
+            for target in range(4):
+                out = em.search_embedding(graph, target, signed=signed,
+                                          budget=em.Budget(max_nodes=2000))
+                statuses.add(out.status)
+                digest.update(repr((out.status, out.nodes,
+                                    repr(out.embedding))).encode())
+    assert statuses == {"found", "exhausted", "budget"}
+    assert digest.hexdigest() == (
+        "53c80a539e807064c6ce3e797bf66f9ae86a099e2f0596786830ae0e2310a8ee")
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(3, 7), st.booleans(), st.randoms(use_true_random=False))
 def test_gap_corners_on_mirror_faces(n, signed, rnd):
@@ -279,6 +325,12 @@ def test_gap_corners_on_mirror_faces(n, signed, rnd):
     face, _, _, _ = em._trace_states(range(2 * graph.m), nxt, prv, twist)
     for a in range(2 * graph.m):
         assert face[2 * nxt[a]] != face[2 * a + 1]
+
+
+def _tau(s, twist):
+    """The deck image of cover state s."""
+    d = s >> 1
+    return 2 * (d ^ 1) + (1 ^ (s & 1) ^ twist[d >> 1])
 
 
 class _RetraceChecked(em._Searcher):
@@ -298,10 +350,8 @@ class _RetraceChecked(em._Searcher):
         assert all(self.fid[s] == -1 for s in range(4 * self.m)
                    if s not in states)
         for s in range(4 * self.m):
-            d = s >> 1
-            mirror = 2 * (d ^ 1) + (1 ^ (s & 1) ^ self.twist[d >> 1])
             f = self.fid[s]
-            assert self.fid[mirror] == (f ^ 1 if f >= 0 else -1)
+            assert self.fid[_tau(s, self.twist)] == (f ^ 1 if f >= 0 else -1)
         active = {em.dart_tail(self.graph, d) for d in darts}
         assert self._euler_genus(i) == 2 - (len(active) - i + nface // 2)
         self.checked += 1
@@ -316,5 +366,71 @@ def test_incremental_faces_match_retrace(n, target, signed, rnd):
     cover states and the partial Euler genus equal a fresh retrace's."""
     graph = _random_connected(n, rnd)
     s = _RetraceChecked(graph, target, signed, em.Budget(max_nodes=300))
+    out = s.run()
+    assert s.checked == out.nodes - (out.status == "budget")
+
+
+class _SplitChecked(_RetraceChecked):
+    """A retrace-checked searcher that also checks the id rule of a split.
+    Below every chord that split a face, the shorter of A, the face through
+    (du, 0), and B', the face through (du, 1), must carry a fresh id pair
+    (A wins a tie), and no placed state off A or B' and their mirrors may
+    have changed its id.  ``sides`` records, per split, 0 when A was
+    relabelled and 1 when B' was."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.before = [None] * self.m  # (face ids, face count) per node
+        self.sides = []
+
+    def _children(self, i):
+        if i and self.plan[i - 1][0] == em._CHORD:
+            fid0, nface0 = self.before[i - 1]
+            if self.nface == nface0 + 2:
+                self._check_split(i, fid0)
+        self.before[i] = (list(self.fid), self.nface)
+        return super()._children(i)
+
+    def _check_split(self, i, fid0):
+        _, _, _, du, _, dv = self.plan[i - 1]
+        darts = [d for p in self.plan[:i] for d in (2 * p[1], 2 * p[1] + 1)]
+        face, _, _, _ = em._trace_states(darts, self.nxt, self.prv,
+                                         self.twist)
+        a_side = [s for s in face if face[s] == face[2 * du]]
+        b_side = [s for s in face if face[s] == face[2 * du + 1]]
+        side = int(len(b_side) < len(a_side))
+        short = (a_side, b_side)[side]
+        relabelled = set(short) | {_tau(s, self.twist) for s in short}
+        chord = {2 * du, 2 * du + 1, 2 * dv, 2 * dv + 1}
+        changed = {s for s, f in enumerate(self.fid) if f != fid0[s]}
+        assert changed == relabelled | chord
+        assert self.fid[short[0]] not in fid0  # a fresh id
+        self.sides.append(side)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("edges, side", [
+    (((0, 3), (1, 2), (1, 3), (2, 3)), 0),
+    (((0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4)), 1),
+], ids=["triangle-pendant-A", "square-pendant-path-B'"])
+def test_split_relabels_shorter_side(edges, side, signed):
+    """A triangle with a pendant edge: the chord closing the triangle cuts
+    the one face into the triangle, through (du, 0), and the longer rest.
+    A 4-cycle with a pendant path: the short side runs through (du, 1)."""
+    graph = pg.Graph(1 + max(v for e in edges for v in e), edges)
+    s = _SplitChecked(graph, 0, signed, em.Budget(max_nodes=300))
+    out = s.run()
+    assert out.status == ("exhausted" if signed else "found")
+    assert s.checked == out.nodes
+    assert s.sides == [side]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(4, 7), st.integers(0, 3), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_split_ids_match_retrace(n, target, signed, rnd):
+    """Every split of a bounded search relabels its shorter side only."""
+    graph = _random_connected(n, rnd)
+    s = _SplitChecked(graph, target, signed, em.Budget(max_nodes=300))
     out = s.run()
     assert s.checked == out.nodes - (out.status == "budget")

@@ -259,6 +259,14 @@ def test_table_validation():
         gr.FiniteGroup(bad)
 
 
+def test_table_validation_names_a_missing_inverse():
+    # every column holds one 0, but row 1 holds two and row 2 none:
+    # element 2 has a left inverse and no right inverse
+    t = np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1]])
+    with pytest.raises(InvalidParameter, match="no two-sided inverse"):
+        gr.FiniteGroup(t)
+
+
 def test_table_validation_rejects_non_associative_loop():
     # Z200 with one intercalate swapped is still a Latin square with
     # identity 0 and two-sided inverses, so only associativity fails; at
