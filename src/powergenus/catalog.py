@@ -223,63 +223,102 @@ def _action_map(name: str, n_grp: FiniteGroup) -> tuple[int, ...]:
     raise InvalidParameter(f"unknown semidirect action {name!r}")
 
 
-def build_recipe(expr: str) -> FiniteGroup:
-    """Construct a group from a recipe expression (or a catalog label)."""
-    expr = expr.strip()
-    if expr.startswith("["):
-        return get(expr)
-    m = re.fullmatch(r"([a-z_]+[a-z_0-9]*)\((.*)\)", expr, re.DOTALL)
-    if not m:
-        if expr in _BY_LABEL:
-            return get(expr)
-        raise ParseError(f"cannot parse recipe {expr!r}")
-    name, body = m.group(1), m.group(2)
-    if name in _FAMILY_NAMES:
-        try:
-            param = int(body.strip())
-        except ValueError:
-            raise ParseError(f"{name} expects an integer, got {body!r}") from None
-        return named(_FAMILY_NAMES[name], param)
-    if name == "direct":
-        args = _split_args(body)
-        if len(args) < 2:
-            raise ParseError("direct needs at least two factors")
-        out = build_recipe(args[0])
-        for a in args[1:]:
-            out = direct_product(out, build_recipe(a))
-        return out
-    if name == "semidirect":
-        args = _split_args(body)
-        if len(args) != 3:
-            raise ParseError("semidirect needs (N, H, action)")
-        n_grp = build_recipe(args[0])
-        h_grp = build_recipe(args[1])
-        amap = _action_map(args[2], n_grp)
-        return semidirect_product(n_grp, h_grp, cyclic_action(n_grp, h_grp, amap))
-    if name == "perm":
-        parts = _split_args(body, ";")
-        try:
-            degree = int(parts[0])
-        except ValueError:
-            raise ParseError(f"perm expects a degree, got {parts[0]!r}") from None
-        gens = [parse_cycles(p, degree) for p in parts[1:]]
-        return from_generators(degree, gens)
-    raise ParseError(f"unknown constructor {name!r}")
+#: Deepest nesting of constructors and labels in one recipe: deeper ones
+#: are refused well before Python's recursion limit.
+_MAX_NESTING = 100
+
+
+def build_recipe(expr: str, entries=None) -> FiniteGroup:
+    """Construct a group from a recipe expression (or a catalog label).
+
+    Labels, whole or nested in the recipe, resolve against ``entries``
+    (the built-in catalog when None), and each is checked as ``build``
+    checks it.  A label whose recipe leads back to itself, or nesting
+    deeper than ``_MAX_NESTING``, is a ParseError.
+    """
+    by_label = (_BY_LABEL if entries is None or entries is _ENTRIES
+                else {e.label: e for e in entries})
+    resolving: list[str] = []  # labels whose recipes are being built
+
+    def label_group(label: str, depth: int) -> FiniteGroup:
+        if by_label is _BY_LABEL:
+            return get(label)
+        if label not in by_label:
+            raise UnknownLabel(f"no catalog entry {label!r}")
+        if label in resolving:
+            chain = " -> ".join(resolving[resolving.index(label):] + [label])
+            raise ParseError(f"catalog labels refer to themselves: {chain}")
+        resolving.append(label)
+        g = recipe(by_label[label].recipe, depth + 1)
+        resolving.pop()
+        return _checked(by_label[label], g)
+
+    def recipe(expr: str, depth: int) -> FiniteGroup:
+        if depth > _MAX_NESTING:
+            raise ParseError(f"recipe nests deeper than {_MAX_NESTING} levels")
+        expr = expr.strip()
+        if expr.startswith("["):
+            return label_group(expr, depth)
+        m = re.fullmatch(r"([a-z_]+[a-z_0-9]*)\((.*)\)", expr, re.DOTALL)
+        if not m:
+            if expr in by_label:
+                return label_group(expr, depth)
+            raise ParseError(f"cannot parse recipe {expr!r}")
+        name, body = m.group(1), m.group(2)
+        if name in _FAMILY_NAMES:
+            try:
+                param = int(body.strip())
+            except ValueError:
+                raise ParseError(f"{name} expects an integer, got {body!r}") from None
+            return named(_FAMILY_NAMES[name], param)
+        if name == "direct":
+            args = _split_args(body)
+            if len(args) < 2:
+                raise ParseError("direct needs at least two factors")
+            out = recipe(args[0], depth + 1)
+            for a in args[1:]:
+                out = direct_product(out, recipe(a, depth + 1))
+            return out
+        if name == "semidirect":
+            args = _split_args(body)
+            if len(args) != 3:
+                raise ParseError("semidirect needs (N, H, action)")
+            n_grp = recipe(args[0], depth + 1)
+            h_grp = recipe(args[1], depth + 1)
+            amap = _action_map(args[2], n_grp)
+            return semidirect_product(n_grp, h_grp, cyclic_action(n_grp, h_grp, amap))
+        if name == "perm":
+            parts = _split_args(body, ";")
+            try:
+                degree = int(parts[0])
+            except ValueError:
+                raise ParseError(f"perm expects a degree, got {parts[0]!r}") from None
+            gens = [parse_cycles(p, degree) for p in parts[1:]]
+            return from_generators(degree, gens)
+        raise ParseError(f"unknown constructor {name!r}")
+
+    return recipe(expr, 0)
 
 
 # ---------------------------------------------------------------------------
 # lookup and validation
 # ---------------------------------------------------------------------------
 
-def build(ent: CatalogEntry) -> FiniteGroup:
-    """Build an entry's recipe under its label and check its claimed order
-    and spectrum; the one place a catalog group is constructed."""
-    g = FiniteGroup(build_recipe(ent.recipe).table, label=ent.label,
-                    validate=False)
+def _checked(ent: CatalogEntry, g: FiniteGroup) -> FiniteGroup:
+    """g under the entry's label, once its claimed order and spectrum hold."""
+    g = FiniteGroup(g.table, label=ent.label, validate=False)
     fails = _check_entry(ent, g)
     if fails:
         raise ValidationFailed("; ".join(fails))
     return g
+
+
+def build(ent: CatalogEntry, entries=None) -> FiniteGroup:
+    """Build an entry's recipe under its label and check its claimed order
+    and spectrum; the one place a catalog group is constructed.  Labels in
+    the recipe resolve against ``entries`` (the built-in catalog when
+    None)."""
+    return _checked(ent, build_recipe(ent.recipe, entries))
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import catalog as cat
 from .errors import (InternalContradiction, OrderCapExceeded, UnknownRule)
-from .genus import (Budget, GenusResult, blocks, compose_blocks,
+from .genus import (Budget, GenusResult, blocks, compose_bounds,
                     crosscap_exact, genus_exact, kn_genus)
 from .groups import (FiniteGroup, cyclic_subgroups_of_order, is_isomorphic,
                      order_spectrum, six_profile)
@@ -482,20 +482,8 @@ def cross_validate(g: FiniteGroup, budget: Budget | None = None) -> dict:
         per.append((genus_exact(b, budget), crosscap_exact(b, budget)))
     all_exact = all(og.kind == "exact" and ng.kind == "exact"
                     for og, ng in per)
-    if all_exact:
-        total_o, total_n = compose_blocks(per)
-        engine = {"orientable": (total_o.value, total_o.value),
-                  "nonorientable": (total_n.value, total_n.value)}
-    else:
-        # Bounds compose conservatively: orientable genus is additive, and
-        # each crosscap contributes at least max(lower, 1) per nonplanar
-        # block and at most 2*genus_upper + 1.
-        o_lo = sum(og.lower for og, _ in per)
-        o_hi = sum(og.upper for og, _ in per)
-        n_lo = 1 - len(per) + sum(max(ng.lower, 1) for _, ng in per) \
-            if all(ng.lower >= 1 for _, ng in per) else 0
-        n_hi = sum(max(ng.upper, 2 * og.upper + 1) for og, ng in per)
-        engine = {"orientable": (o_lo, o_hi), "nonorientable": (n_lo, n_hi)}
+    orientable, nonorientable = compose_bounds(per)
+    engine = {"orientable": orientable, "nonorientable": nonorientable}
     report = {"label": g.label, "order": g.order, "blocks": len(per),
               "exact": all_exact,
               "orientable_verdict": verdict.orientable,

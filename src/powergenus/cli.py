@@ -57,12 +57,15 @@ def _entries(args):
 
 
 def _build_group(args, expr: str) -> FiniteGroup:
-    by_label = {e.label: e for e in _entries(args)}
+    """A group by label or recipe; labels, nested ones included, resolve
+    against the active catalog."""
+    ents = _entries(args)
+    by_label = {e.label: e for e in ents}
     if expr in by_label:
-        return cat.build(by_label[expr])
+        return cat.build(by_label[expr], ents)
     if expr.startswith("["):
         raise UnknownLabel(f"label {expr!r} not in catalog")
-    return cat.build_recipe(expr)
+    return cat.build_recipe(expr, ents)
 
 
 def _emit(args, lines, header: bool = True) -> None:
@@ -148,8 +151,11 @@ def _verdict_lines(args, label: str, g: FiniteGroup, v) -> list[str]:
 
 def cmd_classify(args) -> int:
     if args.all_catalog:
-        ents = sorted(_entries(args), key=lambda e: (e.expected_order, e.label))
-        results = [(g, cls.classify(g)) for g in map(cat.build, ents)]
+        ents = _entries(args)
+        results = []
+        for ent in sorted(ents, key=lambda e: (e.expected_order, e.label)):
+            g = cat.build(ent, ents)
+            results.append((g, cls.classify(g)))
         lines = []
         for g, v in results:
             if args.format == "records":
@@ -180,8 +186,9 @@ def cmd_report(args) -> int:
         return EXIT_OK if r.passed else EXIT_ERROR
 
     rows = []
-    for ent in sorted(_entries(args), key=lambda e: (e.expected_order, e.label)):
-        g = cat.build(ent)
+    ents = _entries(args)
+    for ent in sorted(ents, key=lambda e: (e.expected_order, e.label)):
+        g = cat.build(ent, ents)
         spectrum = str(order_spectrum(g))
         if args.target == "table1":
             if cls.classify_orientable(g).orientable == "two":

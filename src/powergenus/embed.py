@@ -21,6 +21,7 @@ when the cover is disconnected.  The next-dart rule is fixed (see
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -256,27 +257,43 @@ def _edge_insertion_order(graph: Graph):
     new vertex is activated by one edge to the active set, immediately
     followed by all its remaining back-edges, so the placed subgraph stays
     connected and cycles close as early as possible.
+
+    The next vertex has the most active neighbours, then the highest
+    degree, then the lowest index.  ``count`` holds each vertex's active
+    neighbours and only grows, so a heap entry per (count, vertex) serves
+    the choice in O(m log n): a vertex's newest entry pops before its stale
+    ones, which are skipped once it is active.
     """
     adj = graph.adjacency()
     deg = [len(a) for a in adj]
     root = max(range(graph.n), key=lambda v: (deg[v], -v))
-    active = {root}
     eindex = {frozenset(e): i for i, e in enumerate(graph.edges)}
     order: list[int] = []
     activating: list[bool] = []
-    remaining = set(v for v in range(graph.n) if deg[v] > 0) - {root}
-    while remaining:
-        cand = [v for v in remaining if adj[v] & active]
-        if not cand:
+    active = [False] * graph.n
+    count = [0] * graph.n
+    heap: list[tuple[int, int, int]] = []
+
+    def activate(w: int) -> None:
+        active[w] = True
+        for u in adj[w]:
+            if not active[u]:
+                count[u] += 1
+                heapq.heappush(heap, (-count[u], -deg[u], u))
+
+    activate(root)
+    for _ in range(sum(d > 0 for d in deg) - (deg[root] > 0)):
+        while heap and active[heap[0][2]]:
+            heapq.heappop(heap)
+        if not heap:
             raise Disconnected("embedding search requires a connected graph")
-        w = max(cand, key=lambda v: (len(adj[v] & active), deg[v], -v))
-        back = sorted(adj[w] & active)
-        back.sort(key=lambda u: -deg[u])
+        w = heapq.heappop(heap)[2]
+        back = sorted((u for u in adj[w] if active[u]),
+                      key=lambda u: (-deg[u], u))
         for i, u in enumerate(back):
             order.append(eindex[frozenset((u, w))])
             activating.append(i == 0)
-        active.add(w)
-        remaining.discard(w)
+        activate(w)
     assert len(order) == graph.m
     return root, order, activating
 

@@ -363,29 +363,78 @@ def _joined_without_edge(adj: list[set[int]], u: int, v: int) -> bool:
 # block composition
 # ---------------------------------------------------------------------------
 
+def _crosscap_formula(blocks) -> tuple[int, bool]:
+    """sum(min(2g, k)) over per-block (g, k), and whether some block is
+    nonplanar and every nonplanar block has k = 2g + 1; the crosscap of
+    the graph is the sum plus 1 if so, else the sum."""
+    nonplanar = [(g, k) for g, k in blocks if g]
+    return (sum(min(2 * g, k) for g, k in blocks),
+            bool(nonplanar) and all(k == 2 * g + 1 for g, k in nonplanar))
+
+
+def compose_bounds(results: list[tuple[GenusResult, GenusResult]]
+                   ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(orientable, nonorientable) genus intervals of a connected graph
+    from per-block (orientable, nonorientable) results, exact or bounds.
+
+    Orientable genus is additive over blocks.  For the crosscap, a block
+    (g, k) lies in D: (0, 0) when planar, else g >= 1 and 1 <= k <= 2g + 1.
+    By Stahl and Beineke, with the convention that a planar block has
+    nonorientable genus 1 (its crosscap number here is 0), the crosscap of
+    the graph is F = S + I, with S = sum(min(2g, k)) and I = 1 when some
+    block is nonplanar and every nonplanar block has k = 2g + 1, else 0;
+    that is 1 - n + sum(k) over the n nonplanar blocks in the first case,
+    and 2n - sum(max(2 - 2g, 2 - k)) over all n blocks in the other.
+
+    F is monotone on D block by block.  Raise one block within D, from
+    (g, k) to (g', k').  S does not fall, and I falls only from 1 to 0,
+    when the block ends with k' < 2g' + 1.  It then started at (0, 0), and
+    its min term rose from 0 to min(2g', k') >= 1; or it started with
+    k = 2g + 1, so 2g + 1 <= k' < 2g' + 1 gives g' > g, and its term rose
+    from 2g to min(2g', k') >= 2g + 1.  Either way S rose by at least 1.
+
+    So F at each block's bounds, pulled into D, bounds the crosscap:
+    the lower bounds as (max(g_lo, 1, ceil((k_lo - 1) / 2)), max(k_lo, 1))
+    when either is positive (the block is nonplanar, and k <= 2g + 1),
+    else (0, 0); the upper bounds as (g_hi, min(k_hi, 2 g_hi + 1)) when
+    both are positive, else (0, 0) (a block with g or k at most 0 is
+    planar).  Exact inputs give F itself.  The lower end is at least
+    1 - n + sum(k_lo), sum(min(2 g_lo, k_lo)) and max(k_lo), and the upper
+    end at most sum(min(2 g_hi, k_hi)) + 1.
+    """
+    lo, hi = [], []
+    for og, ng in results:
+        g, k = og.lower, ng.lower
+        lo.append((max(g, 1, k // 2), max(k, 1)) if g or k else (0, 0))
+        g, k = og.upper, ng.upper
+        hi.append((g, min(k, 2 * g + 1)) if g and k else (0, 0))
+    (s_lo, i_lo), (s_hi, i_hi) = _crosscap_formula(lo), _crosscap_formula(hi)
+    return ((sum(og.lower for og, _ in results),
+             sum(og.upper for og, _ in results)),
+            (s_lo + i_lo, s_hi + i_hi))
+
+
 def compose_blocks(results: list[tuple[GenusResult, GenusResult]]
                    ) -> tuple[GenusResult, GenusResult]:
     """Genus of a connected graph from exact per-block (orientable,
-    nonorientable) results.
+    nonorientable) results, by ``compose_bounds``.
 
     Orientable genus is additive over blocks.  The nonorientable genus is
-    1 - n + sum(crosscaps) when every block satisfies crosscap = 2*genus + 1,
-    and otherwise 2n - sum(mu) with mu = max(2 - 2*genus, 2 - crosscap).
+    1 - n + sum(crosscaps) over the n nonplanar blocks when each satisfies
+    crosscap = 2*genus + 1, and otherwise 2n - sum(mu) over all blocks,
+    with mu = max(2 - 2*genus, 2 - crosscap).
     """
     if not results:
         raise InexactInput("no blocks given")
     for og, ng in results:
         if og.kind != "exact" or ng.kind != "exact":
             raise InexactInput("block composition requires exact per-block results")
-    n = len(results)
+    (total_g, _), (total_k, _) = compose_bounds(results)
     gs = [og.value for og, _ in results]
     ks = [ng.value for _, ng in results]
-    total_g = sum(gs)
-    if all(k == 2 * g + 1 for g, k in zip(gs, ks)):
-        total_k = 1 - n + sum(ks)
-        rule = "all blocks have crosscap = 2*genus + 1"
+    if _crosscap_formula(list(zip(gs, ks)))[1]:
+        rule = "all nonplanar blocks have crosscap = 2*genus + 1"
     else:
-        total_k = 2 * n - sum(max(2 - 2 * g, 2 - k) for g, k in zip(gs, ks))
         rule = "general block formula via mu"
     cert_g = {"method": "formula_oracle", "detail": "block additivity",
               "blocks": gs}

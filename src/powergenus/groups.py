@@ -6,6 +6,12 @@ allocating a table.  Validation and the isomorphism invariants are
 whole-table numpy operations.
 The identity is always normalized to index 0, and all values are immutable
 after construction.
+
+A table is validated where it enters from outside the package:
+``FiniteGroup(table)`` and ``from_table``/``from_text``.  The constructors
+below build groups by construction from groups or from checked parameters,
+so they pass ``validate=False``; each docstring says why its table is a
+group.
 """
 
 from __future__ import annotations
@@ -284,8 +290,14 @@ def from_table(table, label: str = "") -> FiniteGroup:
 
 
 def _perm_group(perms, label: str) -> FiniteGroup:
-    """The group of the given permutations (closed under composition), with
-    the identity at index 0 and the others in their given order."""
+    """The group of the given distinct permutations (closed under
+    composition), with the identity at index 0 and the others in their
+    given order.
+
+    Not re-validated: a finite set of permutations closed under
+    composition is a subgroup of the symmetric group, since composition is
+    associative and each permutation's powers reach its inverse.
+    """
     arr = np.asarray(perms, dtype=np.int64)
     ident = np.arange(arr.shape[1])
     arr = np.vstack([ident, arr[(arr != ident).any(axis=1)]])
@@ -301,12 +313,14 @@ def _perm_group(perms, label: str) -> FiniteGroup:
     pos = np.minimum(np.searchsorted(sorted_keys, products), n - 1)
     if not np.array_equal(sorted_keys[pos], products):
         raise InvalidParameter("permutations are not closed under composition")
-    return FiniteGroup(by_key[pos].reshape(n, n), label=label)
+    return FiniteGroup(by_key[pos].reshape(n, n), label=label, validate=False)
 
 
 def from_generators(degree: int, generators, label: str = "",
                     cap: int = 10000) -> FiniteGroup:
     """Closure of a set of permutations of {0..degree-1} under composition."""
+    if degree < 1:
+        raise InvalidParameter(f"permutation degree must be >= 1, got {degree}")
     gens = [tuple(g) for g in generators]
     if not gens:
         raise EmptyGeneratorList("need at least one generator")
@@ -332,23 +346,34 @@ def from_generators(degree: int, generators, label: str = "",
 
 
 def cyclic(n: int) -> FiniteGroup:
+    """Cyclic group Z_n; not re-validated, the table is addition mod n."""
     if n < 1:
         raise InvalidParameter("cyclic: n >= 1")
     _check_order(n)
     idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n, label=f"Z{n}")
+    return FiniteGroup((idx[:, None] + idx[None, :]) % n, label=f"Z{n}",
+                       validate=False)
 
 
 def _metacyclic(m: int, r: int, z: int, label: str) -> FiniteGroup:
     """<a, b | a^m = 1, b^2 = a^z, b a b^-1 = a^r> with a^i b^j at index
     2i + j, so a^i1 b^j1 * a^i2 b^j2 = a^(i1 + r^j1 i2 + z [j1 + j2 = 2])
-    b^((j1 + j2) mod 2)."""
+    b^((j1 + j2) mod 2).
+
+    Not re-validated: the presentation defines a group of order 2m exactly
+    when conjugation by b is an automorphism of <a> of order dividing 2
+    (r^2 = 1 mod m) that fixes b^2 = a^z (r z = z mod m), the extension
+    condition for a cyclic group by Z2; any other (r, z) is refused.
+    """
+    if (r * r - 1) % m or (r * z - z) % m:
+        raise InvalidParameter(
+            f"metacyclic: need r^2 = 1 and r*z = z mod {m}, got r={r}, z={z}")
     _check_order(2 * m)
     i, j = np.divmod(np.arange(2 * m), 2)
     twist = np.where(j == 1, r, 1)[:, None]
     jj = j[:, None] + j[None, :]
     ii = (i[:, None] + twist * i[None, :] + z * (jj // 2)) % m
-    return FiniteGroup(2 * ii + jj % 2, label=label)
+    return FiniteGroup(2 * ii + jj % 2, label=label, validate=False)
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -425,6 +450,8 @@ def named(family: str, parameter: int) -> FiniteGroup:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, label: str = "") -> FiniteGroup:
+    """A x B with the componentwise product; not re-validated, the product
+    of two groups is a group."""
     na, nb = a.order, b.order
     _check_order(na * nb)
     ta = np.asarray(a.table)
@@ -432,7 +459,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, label: str = "") -> FiniteGro
     # index (x, y) -> x*nb + y; componentwise product
     table = (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(na * nb, na * nb)
     lbl = label or (f"{a.label}x{b.label}" if a.label and b.label else "")
-    return FiniteGroup(table, label=lbl)
+    return FiniteGroup(table, label=lbl, validate=False)
 
 
 def _check_automorphism(n_grp: FiniteGroup, img: np.ndarray) -> None:
@@ -449,7 +476,8 @@ def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action,
 
     ``action`` maps each element of H to an automorphism of N (a sequence of
     element images).  Both the automorphism property of every action(h) and
-    the homomorphism property of the action itself are verified.
+    the homomorphism property of the action itself are verified; the table
+    is then a group by construction and is not re-validated.
     """
     nn, nh = n_grp.order, h_grp.order
     _check_order(nn * nh)
@@ -466,7 +494,8 @@ def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action,
     # (x1, h1)(x2, h2) = (x1 * m[h1][x2], h1 h2) with (x, h) at index x*nh + h
     twisted = n_grp.table[:, m]  # [x1, h1, x2] -> x1 * m[h1][x2]
     table = twisted[:, :, :, None] * nh + th[None, :, None, :]
-    return FiniteGroup(table.reshape(nn * nh, nn * nh), label=label)
+    return FiniteGroup(table.reshape(nn * nh, nn * nh), label=label,
+                       validate=False)
 
 
 def cyclic_action(n_grp: FiniteGroup, h_grp: FiniteGroup, gen_auto):

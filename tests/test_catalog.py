@@ -2,7 +2,8 @@ import pytest
 
 import powergenus.catalog as cat
 import powergenus.groups as gr
-from powergenus.errors import ParseError, UnknownLabel, UnsupportedOrder
+from powergenus.errors import (ParseError, UnknownLabel, UnsupportedOrder,
+                               ValidationFailed)
 
 
 def test_catalog_validates():
@@ -85,6 +86,21 @@ def test_build_recipe_errors():
         cat.build_recipe("nonsense[")
     with pytest.raises(ParseError):
         cat.build_recipe("cyclic(two)")
+
+
+def test_build_recipe_resolves_labels_against_given_entries():
+    ents = cat.from_text("Q8 | cyclic(4) | 4 | 1,2,4 |\n"
+                         "L | direct(L,cyclic(2)) | 8 | 1,2,4 |\n"
+                         "X | cyclic(4) | 5 | 1,2,4 |\n")
+    assert cat.build_recipe("direct(Q8,cyclic(2))").order == 16
+    assert cat.build_recipe("direct(Q8,cyclic(2))", ents).order == 8
+    assert cat.build_recipe("Q8", ents).label == "Q8"
+    with pytest.raises(ParseError, match="L -> L"):
+        cat.build(ents[1], ents)
+    with pytest.raises(ValidationFailed, match="X: order 4 != expected 5"):
+        cat.build_recipe("direct(X,cyclic(2))", ents)
+    with pytest.raises(UnknownLabel):
+        cat.build_recipe("direct([8,1],cyclic(2))", ents)
 
 
 def test_72_43_structure():

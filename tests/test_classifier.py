@@ -140,6 +140,15 @@ def test_cross_validate_bounds_only():
     assert not report["exact"]
 
 
+def test_cross_validate_bounds_keep_nonplanar_blocks():
+    """Z2xZ8's power graph has two planar blocks and one nonplanar one; a
+    planar block does not erase the nonplanar block's crosscap bound."""
+    report = cls.cross_validate(cat.get("Z2xZ8"), Budget(max_nodes=20))
+    assert report["blocks"] == 3 and not report["exact"]
+    assert report["engine"]["nonorientable"][0] >= 3
+    assert report["status"] == "consistent-with"
+
+
 def test_verdict_record_stable():
     g = cat.get("[18,3]")
     v = cls.classify(g)

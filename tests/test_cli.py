@@ -179,6 +179,53 @@ def test_custom_catalog_checked(tmp_path, capsys, claim):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+NESTED_CATALOG = """\
+Q8 | cyclic(4) | 4 | 1,2,4 |
+W | direct(Q8,cyclic(2)) | 8 | 1,2,4 |
+L | direct(L,cyclic(2)) | 8 | 1,2,4 |
+A | direct(B,cyclic(2)) | 8 | 1,2,4 |
+B | direct(A,cyclic(2)) | 8 | 1,2,4 |
+"""
+
+
+def test_catalog_file_labels_nest(tmp_path, capsys):
+    """A label nested in a --catalog recipe is that file's entry (here a
+    'Q8' of order 4), not the built-in one."""
+    path = tmp_path / "nested.catalog"
+    path.write_text(NESTED_CATALOG)
+    code, out, _ = run(capsys, "group-info", "W", "--catalog", str(path),
+                       "--no-timestamp")
+    assert code == 0 and "order:        8" in out
+    code, out, _ = run(capsys, "group-info", "direct(W,cyclic(3))",
+                       "--catalog", str(path), "--no-timestamp")
+    assert code == 0 and "order:        24" in out
+
+
+@pytest.mark.parametrize("label, chain", [("L", "L -> L"),
+                                          ("A", "B -> A -> B")])
+def test_catalog_file_label_cycles(tmp_path, capsys, label, chain):
+    path = tmp_path / "nested.catalog"
+    path.write_text(NESTED_CATALOG)
+    code, out, err = run(capsys, "group-info", label, "--catalog", str(path),
+                         "--no-timestamp")
+    assert code == 1 and out == ""
+    assert err == f"error: catalog labels refer to themselves: {chain}\n"
+
+
+@pytest.mark.parametrize("recipe", ["perm(0; ())", "perm(-1; ())"])
+def test_perm_degree_below_one(capsys, recipe):
+    code, out, err = run(capsys, "group-info", recipe, "--no-timestamp")
+    assert code == 1 and out == "" and err.startswith("error: permutation degree")
+
+
+def test_recipe_nested_too_deep(capsys):
+    recipe = "cyclic(1)"
+    for _ in range(1200):
+        recipe = f"direct(cyclic(1),{recipe})"
+    code, out, err = run(capsys, "group-info", recipe, "--no-timestamp")
+    assert code == 1 and out == "" and "nests deeper than" in err
+
+
 def test_timestamp_header(capsys):
     _, out, _ = run(capsys, "report", "table2")
     assert out.startswith("# generated ")

@@ -313,6 +313,46 @@ def test_search_trees_pinned():
         "53c80a539e807064c6ce3e797bf66f9ae86a099e2f0596786830ae0e2310a8ee")
 
 
+def _ref_edge_insertion_order(graph):
+    """The activation order recomputed from scratch at every step: the
+    active neighbours of every remaining vertex, by set intersection."""
+    adj = graph.adjacency()
+    deg = [len(a) for a in adj]
+    root = max(range(graph.n), key=lambda v: (deg[v], -v))
+    active = {root}
+    eindex = {frozenset(e): i for i, e in enumerate(graph.edges)}
+    order, activating = [], []
+    remaining = set(v for v in range(graph.n) if deg[v] > 0) - {root}
+    while remaining:
+        cand = [v for v in remaining if adj[v] & active]
+        w = max(cand, key=lambda v: (len(adj[v] & active), deg[v], -v))
+        back = sorted(adj[w] & active)
+        back.sort(key=lambda u: -deg[u])
+        for i, u in enumerate(back):
+            order.append(eindex[frozenset((u, w))])
+            activating.append(i == 0)
+        active.add(w)
+        remaining.discard(w)
+    return root, order, activating
+
+
+def test_edge_insertion_order_matches_reference():
+    """The incremental activation order equals the from-scratch one, tie
+    breaks included, on K4-K8 and on 50 seeded random connected graphs of
+    mixed size and density."""
+    graphs = [pg.complete_graph(n) for n in range(4, 9)]
+    for seed in range(50):
+        rnd = random.Random(seed)
+        n, p = rnd.randrange(4, 25), rnd.choice((0.1, 0.3, 0.5, 0.8))
+        edges = {(rnd.randrange(v), v) for v in range(1, n)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n)
+                  if rnd.random() < p}
+        graphs.append(pg.Graph(n, tuple(sorted(edges))))
+    for graph in graphs:
+        assert em._edge_insertion_order(graph) == \
+            _ref_edge_insertion_order(graph)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(3, 7), st.booleans(), st.randoms(use_true_random=False))
 def test_gap_corners_on_mirror_faces(n, signed, rnd):

@@ -2,7 +2,7 @@ import math
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powergenus.catalog as cat
@@ -285,6 +285,70 @@ def test_compose_blocks_formulas():
     with pytest.raises(InexactInput):
         gn.compose_blocks([(gn.GenusResult("bounds", 1, 2),
                             gn.GenusResult("exact", 1, 1))])
+
+
+def test_compose_blocks_drops_planar_blocks():
+    """K7 with a pendant edge: the K7 block has crosscap 2*genus + 1 and the
+    pendant K2 block is planar.  A planar block sits inside a face at its
+    cut vertex, so the crosscap is K7's 3, as the search on the whole graph
+    finds."""
+    k7 = pg.complete_graph(7)
+    graph = pg.Graph(8, k7.edges + ((0, 7),))
+    per = [(gn.genus_exact(b), gn.crosscap_exact(b)) for b in gn.blocks(graph)]
+    assert sorted((o.value, c.value) for o, c in per) == [(0, 0), (1, 3)]
+    og, ng = gn.compose_blocks(per)
+    assert (og.value, ng.value) == (1, 3) == (gn.genus_exact(graph).value,
+                                              gn.crosscap_exact(graph).value)
+    assert gn.compose_bounds(per) == ((1, 1), (3, 3))
+
+
+def _block_pair(draw):
+    """A block's (genus, crosscap): (0, 0) when planar, else g >= 1 and
+    1 <= k <= 2g + 1, with k = 2g + 1 drawn often."""
+    g = draw(st.integers(0, 6))
+    if g == 0:
+        return (0, 0)
+    return (g, draw(st.one_of(st.just(2 * g + 1), st.integers(1, 2 * g + 1))))
+
+
+def _bounds_around(draw, v):
+    """(lower, upper) around v, often tight on one side: lower bounds down
+    to 0, upper bounds up to 3 more (a crosscap bound may exceed 2g + 1)."""
+    return (draw(st.one_of(st.just(v), st.integers(0, v))),
+            draw(st.one_of(st.just(v), st.integers(v, v + 3))))
+
+
+@st.composite
+def _blocks_with_bounds(draw):
+    """Per-block exact (g, k) with bounds around each."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        g, k = _block_pair(draw)
+        out.append(((g, k), _bounds_around(draw, g), _bounds_around(draw, k)))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_blocks_with_bounds())
+@example([((1, 3), (1, 1), (3, 6))])  # K7-like: the crosscap bound needs 2g + 1
+def test_compose_bounds_contain_exact_composition(blocks):
+    def result(lo, hi):
+        return gn.GenusResult("exact" if lo == hi else "bounds", lo, hi)
+
+    exact = [(result(g, g), result(k, k)) for (g, k), _, _ in blocks]
+    og, ng = gn.compose_blocks(exact)
+    assert gn.compose_bounds(exact) == ((og.value,) * 2, (ng.value,) * 2)
+    per = [(result(*gb), result(*kb)) for _, gb, kb in blocks]
+    (o_lo, o_hi), (n_lo, n_hi) = gn.compose_bounds(per)
+    assert o_lo <= og.value <= o_hi and n_lo <= ng.value <= n_hi
+    # at least as tight as the three lower bounds and the upper bound that
+    # hold block by block
+    n = len(blocks)
+    g_lo = [gb[0] for _, gb, _ in blocks]
+    k_lo = [kb[0] for _, _, kb in blocks]
+    assert n_lo >= max(1 - n + sum(k_lo), max(k_lo),
+                       sum(min(2 * g, k) for g, k in zip(g_lo, k_lo)))
+    assert n_hi <= 1 + sum(min(2 * gb[1], kb[1]) for _, gb, kb in blocks)
 
 
 def test_hard_targets_delta_and_b1():

@@ -3,13 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import powergenus.catalog as cat
 import powergenus.groups as gr
 import powergenus.powergraph as pg
 from powergenus.errors import (ClosureCapExceeded, InvalidParameter,
                                NotAHomomorphism, NotAnAutomorphism,
-                               OrderCapExceeded, ParseError)
+                               OrderCapExceeded, ParseError, PowerGenusError)
 
 
 def test_cyclic_orders():
@@ -529,3 +531,132 @@ def test_power_table_rows_are_powers():
     assert (powers[-1] == 0).all() and (powers[1:-1] != 0).any(axis=1).all()
     for k, row in enumerate(powers):
         assert row.tolist() == [g.power(x, k) for x in range(g.order)]
+
+
+# ---------------------------------------------------------------------------
+# the trust boundary: tables from outside are validated, constructor
+# outputs are groups by construction and are validated only here
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("label", [e.label for e in cat.entries()])
+def test_catalog_tables_are_groups(label):
+    cat.get(label).validate()
+
+
+def test_catalog_build_never_validates(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gr.FiniteGroup, "validate",
+                        lambda self: calls.append(self.label))
+    for ent in cat.entries():
+        cat.build(ent)
+    assert calls == []
+
+
+def _metacyclic_table(m, r, z):
+    """The table ``_metacyclic`` builds, without its parameter check."""
+    i, j = np.divmod(np.arange(2 * m), 2)
+    twist = np.where(j == 1, r, 1)[:, None]
+    jj = j[:, None] + j[None, :]
+    return 2 * ((i[:, None] + twist * i[None, :] + z * (jj // 2)) % m) + jj % 2
+
+
+def test_metacyclic_guard_matches_validation():
+    """(m, r, z) passes ``_metacyclic``'s O(1) check exactly when its table
+    passes ``validate``, on every triple with m <= 12."""
+    accepted = 0
+    for m in range(1, 13):
+        for r in range(m):
+            for z in range(m):
+                t = _metacyclic_table(m, r, z)
+                try:
+                    gr.FiniteGroup(t)
+                    is_group = True
+                except InvalidParameter:
+                    is_group = False
+                try:
+                    g = gr._metacyclic(m, r, z, "")
+                except InvalidParameter:
+                    assert not is_group, (m, r, z)
+                    continue
+                assert is_group and np.array_equal(g.table, t), (m, r, z)
+                accepted += 1
+    assert 0 < accepted < sum(m * m for m in range(1, 13))
+
+
+@pytest.mark.parametrize("table, message", [
+    (np.zeros((2, 3)), "multiplication table must be square"),
+    ([[0, 1], [1, 2]], "table entries out of range"),
+    ([[1, 0], [0, 1]], "element 0 is not a two-sided identity"),
+    ([[0, 1, 2], [1, 0, 0], [2, 2, 1]], "some element has no two-sided inverse"),
+    (_z_n_swapped(8), "table is not associative"),
+])
+def test_outside_tables_still_validated(table, message):
+    with pytest.raises(InvalidParameter, match=message):
+        gr.FiniteGroup(table)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1, 2], [1, 0, 0], [2, 2, 1]], "some element has no two-sided inverse"),
+    (_z_n_swapped(8), "table is not associative"),
+])
+def test_from_table_still_validated(table, message):
+    with pytest.raises(InvalidParameter, match=message):
+        gr.from_table(table)
+    with pytest.raises(InvalidParameter, match=message):
+        gr.from_text(gr.to_text(gr.FiniteGroup(table, validate=False)))
+
+
+def _power_action(n):
+    """(recipe of N, action, order of the action) for x -> x^k on Z_n,
+    over every unit k mod n."""
+    out = []
+    for k in range(2, n):
+        if np.gcd(k, n) == 1:
+            order = next(e for e in range(1, n) if pow(k, e, n) == 1)
+            out.append((f"cyclic({n})", f"power{k}", order))
+    return out
+
+
+#: (N, named action, order of the action on N); H = cyclic(a multiple of it)
+_ACTIONS = [(f"cyclic({n})", "invert", 2) for n in range(3, 9)]
+_ACTIONS += [a for n in range(5, 10) for a in _power_action(n)]
+_ACTIONS += [
+    ("direct(cyclic(2),cyclic(4))", "invert", 2),
+    ("direct(cyclic(3),cyclic(3))", "invert", 2),
+    ("direct(cyclic(3),cyclic(3))", "rot90", 4),
+    ("direct(cyclic(2),cyclic(2))", "cycle3", 3),
+    ("direct(cyclic(3),direct(cyclic(2),cyclic(2)))", "invert_swap", 2),
+]
+
+_FACTORS = st.one_of(
+    st.integers(1, 6).map(lambda n: f"cyclic({n})"),
+    st.integers(1, 5).map(lambda n: f"dihedral({2 * n})"),
+    st.integers(2, 3).map(lambda n: f"dicyclic({n})"),
+    # one or two cycles generating a subgroup of S4, through the closure
+    st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True),
+             min_size=1, max_size=2).map(
+        lambda cs: "perm(4; " + "; ".join(
+            "(" + " ".join(map(str, c)) + ")" for c in cs) + ")"),
+)
+_SEMIDIRECT = st.builds(
+    lambda action, mult: (f"semidirect({action[0]},cyclic({action[2] * mult}),"
+                          f"{action[1]})"),
+    st.sampled_from(_ACTIONS), st.integers(1, 2))
+_RECIPES = st.one_of(
+    _SEMIDIRECT,
+    st.builds(lambda a, b: f"direct({a},{b})",
+              st.one_of(_FACTORS, _SEMIDIRECT), _FACTORS))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_RECIPES)
+def test_constructor_outputs_are_groups(recipe):
+    """Direct and semidirect products of small cyclic, dihedral, dicyclic
+    and permutation groups, under every named action, are groups without
+    being validated when built."""
+    try:
+        g = cat.build_recipe(recipe)
+    except PowerGenusError:
+        assume(False)  # e.g. perm(...) arguments that are not cycles
+    g.validate()
