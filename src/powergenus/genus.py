@@ -4,8 +4,13 @@ crosscap computation via embedding search with certificates.
 
 Both surfaces share one driver: the Euler lower bound comes first, and
 planarity (with its Kuratowski witness) is decided only when that bound is
-0, since a positive bound already proves the graph nonplanar.  The decision
-is kept on the graph object, so the second surface of a block reuses it.
+0, since a positive bound already proves the graph nonplanar.  The driver
+keeps one entry per isomorphism class of input graph for the life of the
+process: the class's first graph, its planarity decision, and its result
+per surface and budget.  A graph of a class seen before is answered from
+the entry, with the certificates carried through an isomorphism onto it, so
+the second surface of a block and every repeat of a block skip planarity
+and search.
 
 A nonplanar graph's Kuratowski witness comes from its shortest nonplanar
 BFS prefix, cut down vertex by vertex to a vertex-minimal nonplanar induced
@@ -20,10 +25,12 @@ upper-bound certificate carries a concrete embedding and its face trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 from math import ceil, inf
 
 import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from .embed import (Budget, FaceTrace, RotationSystem, rotation_from_adjacency,
                     search_embedding, trace_faces)
@@ -262,6 +269,11 @@ class GenusResult:
 
     kind 'exact' means lower == upper with both certificates present;
     'bounds' carries whatever was proved before the budget ran out.
+    ``path`` names how ``genus_exact``/``crosscap_exact`` produced the
+    result: ``"planarity"`` (a planar graph), ``"search"`` (Euler bound or
+    witness, then the level search) or ``"cache"`` (an earlier result for
+    the graph's isomorphism class); None for results built elsewhere.  It
+    takes no part in equality.
     """
 
     kind: str  # 'exact' | 'bounds'
@@ -269,6 +281,7 @@ class GenusResult:
     upper: int
     lower_certificate: dict = field(default_factory=dict)
     upper_certificate: dict = field(default_factory=dict)
+    path: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         assert self.kind in ("exact", "bounds")
@@ -298,22 +311,82 @@ def crosscap_exact(graph: Graph, budget: Budget | None = None) -> GenusResult:
     return _exact(graph, budget, signed=True)
 
 
+@dataclass
+class _Class:
+    """One isomorphism class of graph given to ``_exact``: its first graph
+    (the representative), the representative's planarity decision once
+    made, and its results by (signed, max_nodes, max_seconds)."""
+
+    graph: Graph
+    planarity: PlanarityResult | None = None
+    results: dict = field(default_factory=dict)
+
+
+#: The classes ``_exact`` has met in this process, by (n, m, WL hash); a
+#: list holds the classes that share a key.
+_CLASSES: dict[tuple[int, int, str], list[_Class]] = {}
+
+
+def _class_of(graph: Graph) -> tuple[_Class, dict[int, int] | None]:
+    """The entry of graph's isomorphism class, made with graph as its
+    representative if the class is new, and an isomorphism from the
+    representative onto graph (None when graph equals the representative,
+    labels included)."""
+    g = graph.to_networkx()
+    with warnings.catch_warnings():
+        # networkx 3.5+ warns that its hash values changed
+        warnings.simplefilter("ignore", UserWarning)
+        key = (graph.n, graph.m, nx.weisfeiler_lehman_graph_hash(g))
+    entries = _CLASSES.setdefault(key, [])
+    for entry in entries:
+        if entry.graph == graph:
+            return entry, None
+        # equal hashes do not make graphs isomorphic (K3,3 and the prism)
+        matcher = GraphMatcher(entry.graph.to_networkx(), g)
+        if matcher.is_isomorphic():
+            return entry, matcher.mapping
+    entries.append(_Class(graph))
+    return entries[-1], None
+
+
 def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
-    """The level search shared by both surfaces.  Level k is Euler genus 2k
-    (orientable) or k (nonorientable, requiring a twisted embedding)."""
+    """Both surfaces, through the entry of graph's isomorphism class: a
+    result the entry holds for this surface and budget is served again
+    (path ``"cache"``), else it is computed on the representative and kept.
+    The budget is part of the key, so bounds found under one budget are
+    never served to another.  Callers get their own certificate dicts."""
     budget = budget or Budget()
+    entry, phi = _class_of(graph)
+    key = (signed, budget.max_nodes, budget.max_seconds)
+    res = entry.results.get(key)
+    path = "cache"
+    if res is None:
+        res = entry.results[key] = _solve(entry, budget, signed)
+        path = res.path
+    if phi is not None:
+        return _carry(res, entry.graph, graph, phi, path)
+    return replace(res, lower_certificate=dict(res.lower_certificate),
+                   upper_certificate=dict(res.upper_certificate), path=path)
+
+
+def _solve(entry: _Class, budget: Budget, signed: bool) -> GenusResult:
+    """The level search shared by both surfaces, on the representative.
+    Level k is Euler genus 2k (orientable) or k (nonorientable, requiring a
+    twisted embedding)."""
+    graph = entry.graph
     level = euler_lower_bound(graph, "nonorientable" if signed else "orientable")
     if level >= 1:
         lower_cert = {"method": "euler_bound", "value": level}
     else:
-        # decided once per graph object, for both surfaces
-        if graph.planarity is None:
-            object.__setattr__(graph, "planarity", is_planar(graph))
-        pl = graph.planarity
+        # decided once per class, for both surfaces
+        if entry.planarity is None:
+            entry.planarity = is_planar(graph)
+        pl = entry.planarity
         if pl.planar:
             return GenusResult("exact", 0, 0,
                                {"method": "euler_bound", "value": 0},
-                               _embedding_certificate(pl.rotation, pl.trace))
+                               _embedding_certificate(pl.rotation, pl.trace),
+                               "planarity")
         level = 1
         lower_cert = {"method": "subgraph_bound", "value": 1,
                       "detail": "nonplanar", "witness": pl.witness}
@@ -322,7 +395,8 @@ def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
                                signed=signed, budget=budget)
         if out.status == "found":
             return GenusResult("exact", level, level, lower_cert,
-                               _embedding_certificate(out.embedding, out.trace))
+                               _embedding_certificate(out.embedding, out.trace),
+                               "search")
         if out.status != "exhausted":
             break
         level += 1
@@ -341,7 +415,56 @@ def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
     tr = trace_faces(graph, rs)
     assert tr.orientable != signed
     return GenusResult("bounds", level, tr.crosscap if signed else tr.genus,
-                       lower_cert, _embedding_certificate(rs, tr))
+                       lower_cert, _embedding_certificate(rs, tr), "search")
+
+
+def _carry(res: GenusResult, rep: Graph, graph: Graph, phi: dict[int, int],
+           path: str) -> GenusResult:
+    """res, proved for rep, as a result for graph, along the isomorphism
+    phi from rep onto graph.
+
+    Edge (u, v) of rep goes to (phi u, phi v), and its dart from u to the
+    dart from phi u, which is the other side when phi u > phi v; rotations
+    and signs move with their darts and edges, and the embedding is traced
+    again on graph.  A witness is rebuilt on graph under graph's labels
+    (labels name the witness's vertices).  Other certificates are copied.
+    """
+    eindex = {e: i for i, e in enumerate(graph.edges)}
+    dart = [0] * (2 * rep.m)
+    for e, (u, v) in enumerate(rep.edges):
+        a, b = phi[u], phi[v]
+        flip = a > b
+        d = 2 * eindex[(b, a) if flip else (a, b)]
+        dart[2 * e], dart[2 * e + 1] = d + flip, d + (not flip)
+
+    def carry(cert: dict) -> dict:
+        cert = dict(cert)
+        if cert.get("method") == "embedding":
+            rs = cert["rotation"]
+            rots = [()] * graph.n
+            for v, rot in enumerate(rs.rotations):
+                rots[phi[v]] = tuple(dart[d] for d in rot)
+            signs = None
+            if rs.is_signed():
+                signs = [1] * graph.m
+                for e, sign in enumerate(rs.signs):
+                    signs[dart[2 * e] >> 1] = sign
+                signs = tuple(signs)
+            rs = RotationSystem(tuple(rots), signs)
+            cert["rotation"] = rs
+            if cert["trace"] is not None:
+                cert["trace"] = trace_faces(graph, rs)
+        if cert.get("witness") is not None:
+            w = cert["witness"]
+            index = {label: v for v, label in enumerate(rep.labels)}
+            verts = [phi[index[label]] for label in w.labels]
+            cert["witness"] = induced(
+                Graph(graph.n, tuple((verts[u], verts[v]) for u, v in w.edges),
+                      graph.labels), verts)
+        return cert
+
+    return replace(res, lower_certificate=carry(res.lower_certificate),
+                   upper_certificate=carry(res.upper_certificate), path=path)
 
 
 def _joined_without_edge(adj: list[set[int]], u: int, v: int) -> bool:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -17,16 +17,14 @@ class Graph:
     """A simple undirected graph with labeled vertices.
 
     Edges are stored as a sorted tuple of index pairs (u < v) so iteration
-    order is deterministic across runs.  ``planarity`` holds the graph's
-    ``genus.is_planar`` result once the genus driver has asked for it; it
-    belongs to this object only and takes no part in equality.
+    order is deterministic across runs.  Labels are distinct, so they name
+    vertices across graphs (a Kuratowski witness names its vertices by the
+    labels of the graph it came from).
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[str, ...] = ()
-    planarity: object = field(default=None, init=False, repr=False,
-                              compare=False)
 
     def __post_init__(self):
         edges = tuple(map(tuple, self.edges))
@@ -43,6 +41,8 @@ class Graph:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(self.n)))
         elif len(self.labels) != self.n:
             raise InvalidVertex("label count does not match vertex count")
+        elif len(set(self.labels)) != self.n:
+            raise InvalidVertex("vertex labels must be distinct")
 
     @property
     def m(self) -> int:

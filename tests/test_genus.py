@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import networkx as nx
 import pytest
@@ -100,25 +102,54 @@ def test_is_planar():
                for u, v in w.edges)
 
 
-def test_planarity_decided_once_per_graph(monkeypatch):
-    """genus_exact then crosscap_exact on one block whose Euler bound is 0
-    decide planarity once and share the result; an equal but new Graph is
-    decided again, so nothing is kept by value."""
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty block cache for this test, so its counts start from zero."""
+    monkeypatch.setattr(gn, "_CLASSES", {})
+
+
+def _counting(monkeypatch, name):
+    """Replace genus.<name> by a wrapper that records the graph of each call;
+    returns the record."""
     calls = []
-    real = gn.is_planar
+    real = getattr(gn, name)
 
-    def counting(graph):
+    def counting(graph, *args, **kwargs):
         calls.append(graph)
-        return real(graph)
+        return real(graph, *args, **kwargs)
 
-    monkeypatch.setattr(gn, "is_planar", counting)
-    dic3_block = next(b for b in gn.blocks(pg.power_graph(cat.get("Dic3")))
-                      if b.m == 28)
-    for block, planar in ((pg.complete_graph(4), True), (dic3_block, False)):
+    monkeypatch.setattr(gn, name, counting)
+    return calls
+
+
+def _relabelled(graph, seed):
+    """graph with its vertices renumbered at random; each keeps its label."""
+    new = list(range(graph.n))
+    random.Random(seed).shuffle(new)
+    labels = [""] * graph.n
+    for v, label in enumerate(graph.labels):
+        labels[new[v]] = label
+    return pg.Graph(graph.n, tuple((new[u], new[v]) for u, v in graph.edges),
+                    tuple(labels))
+
+
+def _dic3_block():
+    return next(b for b in gn.blocks(pg.power_graph(cat.get("Dic3")))
+                if b.m == 28)
+
+
+def test_planarity_decided_once_per_graph(monkeypatch, fresh_cache):
+    """genus_exact then crosscap_exact on one block whose Euler bound is 0
+    decide planarity once and share the result.  The decision is kept per
+    isomorphism class: an equal new Graph and a relabelled copy are not
+    decided again."""
+    real = gn.is_planar
+    calls = _counting(monkeypatch, "is_planar")
+    for block, planar in ((pg.complete_graph(4), True), (_dic3_block(), False)):
         calls.clear()
         og, ng = gn.genus_exact(block), gn.crosscap_exact(block)
         assert len(calls) == 1 and calls[0] is block
-        assert block.planarity.planar == planar
+        assert og.path == ng.path == ("planarity" if planar else "search")
         if planar:
             assert (og.value, ng.value) == (0, 0)
             assert og.upper_certificate["rotation"] \
@@ -127,11 +158,16 @@ def test_planarity_decided_once_per_graph(monkeypatch):
             assert (og.value, ng.value) == (1, 1)
             witness = og.lower_certificate["witness"]
             assert witness is ng.lower_certificate["witness"]
-            assert witness is block.planarity.witness
+            assert witness == real(block).witness
         fresh = pg.Graph(block.n, block.edges, block.labels)
-        assert fresh == block and fresh.planarity is None
-        gn.genus_exact(fresh)
-        assert len(calls) == 2 and calls[1] is fresh
+        assert fresh == block and fresh is not block
+        for copy in (fresh, _relabelled(block, 1)):
+            for res, again in ((og, gn.genus_exact(copy)),
+                               (ng, gn.crosscap_exact(copy))):
+                assert again.path == "cache"
+                assert (again.kind, again.lower, again.upper) \
+                    == (res.kind, res.lower, res.upper)
+        assert len(calls) == 1
 
 
 def _assert_kuratowski_witness(graph, w):
@@ -194,6 +230,67 @@ def test_witness_of_nonplanar_catalog_block(label):
 def test_witness_of_z144():
     graph = pg.power_graph(gr.cyclic(144))
     _assert_kuratowski_witness(graph, gn.is_planar(graph).witness)
+
+
+def test_cache_tells_apart_graphs_with_equal_wl_hash(fresh_cache):
+    """The triangular prism and K3,3 have the same n, m and WL hash but are
+    not isomorphic, so each keeps its own class and values."""
+    prism = pg.Graph(6, tuple(nx.circular_ladder_graph(3).edges))
+    k33 = pg.complete_bipartite(3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert len({nx.weisfeiler_lehman_graph_hash(g.to_networkx())
+                    for g in (prism, k33)}) == 1
+    for graph, value in ((prism, 0), (k33, 1), (prism, 0), (k33, 1)):
+        assert gn.genus_exact(graph).value == value
+        assert gn.crosscap_exact(graph).value == value
+    assert [len(classes) for classes in gn._CLASSES.values()] == [2]
+
+
+@pytest.mark.parametrize("name", ["Dic3", "hexagon_union(3)"])
+def test_relabelled_block_served_from_cache(monkeypatch, fresh_cache, name):
+    """A relabelled copy of a block seen before is answered without search
+    or planarity, with certificates that check on the copy itself."""
+    block = _dic3_block() if name == "Dic3" else hexagon_union(3)
+    first = (gn.genus_exact(block), gn.crosscap_exact(block))
+    searches = _counting(monkeypatch, "search_embedding")
+    planarity = _counting(monkeypatch, "is_planar")
+    copy = _relabelled(block, 7)
+    again = (gn.genus_exact(copy), gn.crosscap_exact(copy))
+    assert searches == [] and planarity == []
+    for res, hit, orientable in zip(first, again, (True, False)):
+        assert hit.path == "cache"
+        assert (hit.kind, hit.lower, hit.upper) \
+            == (res.kind, res.lower, res.upper)
+        uc = hit.upper_certificate
+        ok, msg = em.verify_certificate(
+            em.certificate_to_text(copy, uc["rotation"], uc["trace"]))
+        assert ok, msg
+        tr = em.trace_faces(copy, uc["rotation"])
+        assert tr == uc["trace"] and tr.orientable == orientable
+        assert tr.euler_genus == (2 if orientable else 1) * hit.upper
+        lc = hit.lower_certificate
+        assert lc is not res.lower_certificate
+        if lc["method"] == "subgraph_bound":
+            _assert_kuratowski_witness(copy, lc["witness"])
+        else:
+            assert lc == res.lower_certificate
+    assert [c["method"] for c in (first[0].lower_certificate,
+                                  first[1].lower_certificate)] \
+        == (["subgraph_bound"] * 2 if name == "Dic3"
+            else ["exhaustive_search"] * 2)
+
+
+def test_cache_keys_on_budget(fresh_cache):
+    """Bounds found under a small budget are not served to a larger one."""
+    graph = hexagon_union(3)
+    small = gn.genus_exact(graph, gn.Budget(max_nodes=20))
+    assert (small.kind, small.lower, small.path) == ("bounds", 1, "search")
+    # the genus-1 exhaustion takes 32,354 nodes
+    big = gn.genus_exact(graph, gn.Budget(max_nodes=40_000))
+    assert (big.kind, big.value, big.path) == ("exact", 2, "search")
+    again = gn.genus_exact(graph, gn.Budget(max_nodes=20))
+    assert (again, again.path) == (small, "cache")
 
 
 def test_genus_exact_small():

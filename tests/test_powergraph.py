@@ -57,6 +57,13 @@ def test_bad_edges_refused(edges):
         pg.Graph(4, edges)
 
 
+def test_labels_checked():
+    assert pg.Graph(3, ((0, 1),), ("a", "b", "c")).labels == ("a", "b", "c")
+    for labels in (("a", "b"), ("a", "b", "a")):
+        with pytest.raises(InvalidVertex):
+            pg.Graph(3, ((0, 1),), labels)
+
+
 def test_induced():
     k5 = pg.complete_graph(5)
     sub = pg.induced(k5, [0, 2, 4])
