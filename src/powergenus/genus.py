@@ -10,7 +10,11 @@ process: the class's first graph, its planarity decision, and its result
 per surface and budget.  A graph of a class seen before is answered from
 the entry, with the certificates carried through an isomorphism onto it, so
 the second surface of a block and every repeat of a block skip planarity
-and search.
+and search.  Classes are looked up by a colour-refinement key (n, m and the
+stable colouring's signatures), and membership is decided by
+individualise-and-refine with backtracking, which pairs classes of twins
+at once and confirms the isomorphism edge by edge.  ``blocks`` is one
+iterative Tarjan search.  None of these three calls networkx.
 
 A nonplanar graph's Kuratowski witness comes from its shortest nonplanar
 BFS prefix, cut down vertex by vertex to a vertex-minimal nonplanar induced
@@ -25,12 +29,11 @@ upper-bound certificate carries a concrete embedding and its face trace.
 
 from __future__ import annotations
 
-import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import ceil, inf
 
 import networkx as nx
-from networkx.algorithms.isomorphism import GraphMatcher
 
 from .embed import (Budget, FaceTrace, RotationSystem, rotation_from_adjacency,
                     search_embedding, trace_faces)
@@ -158,12 +161,58 @@ def euler_lower_bound(graph: Graph, surface: str = "orientable") -> int:
 
 def blocks(graph: Graph) -> list[Graph]:
     """Biconnected components; every edge lands in exactly one block.
-    Vertex labels carry over.  Deterministic order."""
-    g = graph.to_networkx()
-    if graph.n and not nx.is_connected(g):
-        raise Disconnected("blocks are defined for connected graphs")
-    comps = [induced(graph, {v for e in comp for v in e})
-             for comp in nx.biconnected_component_edges(g)]
+    Vertex labels carry over.  Deterministic order.
+
+    One iterative Tarjan depth-first search: when the search returns from
+    w to its parent u with low[w] >= disc[u], the vertices above w on the
+    vertex stack, w included, and u form a block, which owns the popped
+    vertices.  The parent edge may lower low[w] to disc[u], which leaves
+    that test unchanged.  A depth-first search of an undirected graph
+    makes no cross edges, so an edge's deeper end is a descendant of the
+    other, and the edge lies in the block that owns the deeper end.
+    """
+    n = graph.n
+    adj = graph.adjacency()
+    disc, low = [-1] * n, [0] * n
+    owner = [-1] * n
+    members: list[list[int]] = []
+    if n:
+        disc[0], t = 0, 1
+        todo, path = [(0, iter(adj[0]))], [0]
+        while todo:
+            v, it = todo[-1]
+            for w in it:
+                if disc[w] < 0:
+                    disc[w] = low[w] = t
+                    t += 1
+                    path.append(w)
+                    todo.append((w, iter(adj[w])))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                todo.pop()
+                if todo:
+                    u = todo[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        block = [u]
+                        while block[-1] != v:
+                            x = path.pop()
+                            owner[x] = len(members)
+                            block.append(x)
+                        members.append(block)
+        if t < n:
+            raise Disconnected("blocks are defined for connected graphs")
+    edges: list[list[tuple[int, int]]] = [[] for _ in members]
+    for u, v in graph.edges:
+        edges[owner[v] if disc[v] > disc[u] else owner[u]].append((u, v))
+    comps = []
+    for verts, es in zip(members, edges):
+        verts.sort()
+        remap = {v: i for i, v in enumerate(verts)}
+        # graph.edges are sorted and the remap keeps order, so es stays sorted
+        comps.append(Graph(len(verts), tuple((remap[u], remap[v]) for u, v in es),
+                           tuple(graph.labels[v] for v in verts)))
     comps.sort(key=lambda b: (b.labels, b.edges))
     return comps
 
@@ -314,39 +363,151 @@ def crosscap_exact(graph: Graph, budget: Budget | None = None) -> GenusResult:
 @dataclass
 class _Class:
     """One isomorphism class of graph given to ``_exact``: its first graph
-    (the representative), the representative's planarity decision once
-    made, and its results by (signed, max_nodes, max_seconds)."""
+    (the representative), the representative's class key and stable
+    colouring (see ``_refine``), its planarity decision once made, and its
+    results by (signed, max_nodes, max_seconds)."""
 
     graph: Graph
+    key: tuple
+    colours: list[int]
     planarity: PlanarityResult | None = None
     results: dict = field(default_factory=dict)
 
 
-#: The classes ``_exact`` has met in this process, by (n, m, WL hash); a
-#: list holds the classes that share a key.
-_CLASSES: dict[tuple[int, int, str], list[_Class]] = {}
+#: The classes ``_exact`` has met in this process, by (n, m, refinement
+#: signature); a list holds the classes that share a key.
+_CLASSES: dict[tuple, list[_Class]] = {}
 
 
-def _class_of(graph: Graph) -> tuple[_Class, dict[int, int] | None]:
+def _class_of(graph: Graph) -> tuple[_Class, list[int] | None]:
     """The entry of graph's isomorphism class, made with graph as its
     representative if the class is new, and an isomorphism from the
     representative onto graph (None when graph equals the representative,
     labels included)."""
-    g = graph.to_networkx()
-    with warnings.catch_warnings():
-        # networkx 3.5+ warns that its hash values changed
-        warnings.simplefilter("ignore", UserWarning)
-        key = (graph.n, graph.m, nx.weisfeiler_lehman_graph_hash(g))
+    adj = graph.adjacency()
+    colours, signature = _refine(adj, [len(nbrs) for nbrs in adj])
+    key = (graph.n, graph.m, signature)
     entries = _CLASSES.setdefault(key, [])
     for entry in entries:
         if entry.graph == graph:
             return entry, None
-        # equal hashes do not make graphs isomorphic (K3,3 and the prism)
-        matcher = GraphMatcher(entry.graph.to_networkx(), g)
-        if matcher.is_isomorphic():
-            return entry, matcher.mapping
-    entries.append(_Class(graph))
+        # equal keys do not make graphs isomorphic (K3,3 and the prism)
+        phi = _isomorphism(entry, adj, colours)
+        if phi is not None:
+            return entry, phi
+    entries.append(_Class(graph, key, colours))
     return entries[-1], None
+
+
+def _refine(adj: list[set[int]], colours: list[int]) -> tuple[list[int], tuple]:
+    """The stable colouring that colour refinement reaches from colours, and
+    its signature.
+
+    Each round gives every vertex the signature (its colour, its
+    neighbours' colours sorted) and names its new colour by the rank of
+    that signature among the round's distinct ones; the rounds stop when
+    no class splits.  The names depend on nothing but the graph and the
+    start colouring up to isomorphism, so an isomorphism that preserves
+    the start colours maps the stable colouring of one graph onto the
+    other's, name for name.  The signature lists the last round's
+    distinct signatures in order, each with its class size, which is the
+    size of the class of that colour.
+    """
+    count = len(set(colours))
+    while True:
+        sigs = [(colours[v], tuple(sorted([colours[w] for w in nbrs])))
+                for v, nbrs in enumerate(adj)]
+        distinct = sorted(set(sigs))
+        rank = {sig: c for c, sig in enumerate(distinct)}
+        colours = [rank[sig] for sig in sigs]
+        if len(distinct) == count:
+            sizes = [0] * count
+            for c in colours:
+                sizes[c] += 1
+            return colours, tuple(zip(distinct, sizes))
+        count = len(distinct)
+
+
+def _isomorphism(entry: _Class, adj: list[set[int]],
+                 colours: list[int]) -> list[int] | None:
+    """An isomorphism phi (phi[v] for each vertex v) from entry's
+    representative onto the graph with adjacency adj and stable colouring
+    colours, whose key equals entry's; None if there is none.
+
+    Individualise and refine (McKay), with backtracking on an explicit
+    stack: give a vertex v of the representative and a vertex w of the
+    same colour in graph a new colour, refine both, and go on while the
+    signatures agree.  Any isomorphism that extends the choices so far maps
+    colours onto equal colours, so trying every w for one v misses none.
+    When every class of two or more vertices is a set of twins, the classes
+    are paired in order at once (see ``_split_colour``).  phi is confirmed
+    edge by edge before it is returned.
+    """
+    rep = entry.graph
+    rep_adj = None
+    col_r, col_g, sizes = entry.colours, colours, [k for _, k in entry.key[2]]
+    frames = []  # [col_r, col_g, sizes, v, candidates, next candidate]
+    while True:
+        c = _split_colour(adj, col_g, sizes)
+        if c is None:
+            # sorting is stable, so each class is paired in vertex order
+            phi = [0] * rep.n
+            for v, w in zip(sorted(range(rep.n), key=col_r.__getitem__),
+                            sorted(range(rep.n), key=col_g.__getitem__)):
+                phi[v] = w
+            if all(phi[v] in adj[phi[u]] for u, v in rep.edges):
+                return phi
+        else:
+            frames.append([col_r, col_g, sizes, col_r.index(c),
+                           [w for w, d in enumerate(col_g) if d == c], 0])
+        while frames:
+            frame = frames[-1]
+            col_r, col_g, sizes, v, candidates, i = frame
+            if i == len(candidates):
+                frames.pop()
+                continue
+            frame[5] = i + 1
+            if rep_adj is None:
+                rep_adj = rep.adjacency()
+            col_r, sig_r = _refine(rep_adj, _individualised(col_r, v))
+            col_g, sig_g = _refine(adj, _individualised(col_g, candidates[i]))
+            if sig_r == sig_g:
+                sizes = [k for _, k in sig_r]
+                break
+        else:
+            return None
+
+
+def _individualised(colours: list[int], v: int) -> list[int]:
+    """colours with v given a colour of its own."""
+    colours = list(colours)
+    colours[v] = len(colours)
+    return colours
+
+
+def _split_colour(adj: list[set[int]], colours: list[int],
+                  sizes: list[int]) -> int | None:
+    """A colour of a smallest class, of two or more vertices, that is not a
+    set of twins (equal N[v], or equal N(v)), under the stable colouring
+    colours with class sizes sizes; None when there is no such class.
+
+    In a stable colouring every vertex of a class C has the same number of
+    neighbours in each class D.  C is a set of twins when that number is
+    0 or |D| for each D other than C, and 0 or |C| - 1 for C itself.  When
+    every class is a singleton or a set of twins, the colouring fixes the
+    graph up to a bijection inside each class, so another graph whose
+    stable colouring has the same signature is isomorphic to it along any
+    bijection that keeps colours.
+    """
+    first: dict[int, int] = {}
+    for v, c in enumerate(colours):
+        if sizes[c] > 1 and c not in first:
+            first[c] = v
+    for c in sorted(first, key=lambda c: (sizes[c], c)):
+        counts = Counter(colours[w] for w in adj[first[c]])
+        if any(k != sizes[d] - (d == c) for d, k in counts.items()):
+            return c
+    return None
 
 
 def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
@@ -418,7 +579,7 @@ def _solve(entry: _Class, budget: Budget, signed: bool) -> GenusResult:
                        lower_cert, _embedding_certificate(rs, tr), "search")
 
 
-def _carry(res: GenusResult, rep: Graph, graph: Graph, phi: dict[int, int],
+def _carry(res: GenusResult, rep: Graph, graph: Graph, phi: list[int],
            path: str) -> GenusResult:
     """res, proved for rep, as a result for graph, along the isomorphism
     phi from rep onto graph.

@@ -1,6 +1,6 @@
 import math
 import random
-import warnings
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -86,6 +86,46 @@ def test_blocks():
     assert all(b.n == 3 and b.m == 3 for b in bs)
     with pytest.raises(Disconnected):
         gn.blocks(pg.Graph(4, ((0, 1), (2, 3))))
+    with pytest.raises(Disconnected):
+        gn.blocks(pg.Graph(3, ((0, 1),)))
+    assert gn.blocks(pg.Graph(0, ())) == []
+    assert gn.blocks(pg.Graph(1, ())) == []
+
+
+def _nx_blocks(graph):
+    """blocks(graph) with networkx as the oracle."""
+    comps = [pg.induced(graph, {v for e in comp for v in e})
+             for comp in nx.biconnected_component_edges(graph.to_networkx())]
+    return sorted(comps, key=lambda b: (b.labels, b.edges))
+
+
+def test_blocks_match_networkx_on_catalog():
+    for e in cat.entries():
+        graph = pg.power_graph(cat.get(e.label))
+        assert gn.blocks(graph) == _nx_blocks(graph), e.label
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 30), st.integers(0, 2**32))
+def test_blocks_match_networkx_on_random_graphs(n, seed):
+    # a random spanning tree, so the graph is connected, then random edges
+    rnd = random.Random(seed)
+    edges = {(rnd.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n)
+              if rnd.random() < rnd.choice((0.05, 0.15, 0.4))}
+    labels = [f"v{i}" for i in range(n)]
+    rnd.shuffle(labels)
+    graph = pg.Graph(n, tuple(edges), tuple(labels))
+    assert gn.blocks(graph) == _nx_blocks(graph)
+
+
+def test_blocks_of_a_long_path():
+    """The search is iterative: a path longer than the recursion limit
+    splits into its edges."""
+    n = 3000
+    graph = pg.Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+    bs = gn.blocks(graph)
+    assert len(bs) == n - 1 and all((b.n, b.m) == (2, 1) for b in bs)
 
 
 def test_is_planar():
@@ -232,19 +272,152 @@ def test_witness_of_z144():
     _assert_kuratowski_witness(graph, gn.is_planar(graph).witness)
 
 
-def test_cache_tells_apart_graphs_with_equal_wl_hash(fresh_cache):
-    """The triangular prism and K3,3 have the same n, m and WL hash but are
-    not isomorphic, so each keeps its own class and values."""
+def test_cache_tells_apart_graphs_with_equal_key(fresh_cache):
+    """The triangular prism and K3,3 are both 3-regular on 6 vertices, so
+    colour refinement does not split them and they share a class key, but
+    they are not isomorphic, so each keeps its own class and values."""
     prism = pg.Graph(6, tuple(nx.circular_ladder_graph(3).edges))
     k33 = pg.complete_bipartite(3, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        assert len({nx.weisfeiler_lehman_graph_hash(g.to_networkx())
-                    for g in (prism, k33)}) == 1
     for graph, value in ((prism, 0), (k33, 1), (prism, 0), (k33, 1)):
         assert gn.genus_exact(graph).value == value
         assert gn.crosscap_exact(graph).value == value
+    (classes,) = gn._CLASSES.values()
+    assert [c.graph for c in classes] == [prism, k33]
+
+
+def _shrikhande():
+    """Z4 x Z4, with x ~ y when x - y is +-(1, 0), +-(0, 1) or +-(1, 1)."""
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    return pg.Graph(16, tuple((4 * a + b, 4 * c + d)
+                              for a in range(4) for b in range(4)
+                              for c in range(4) for d in range(4)
+                              if ((c - a) % 4, (d - b) % 4) in steps))
+
+
+def _rook():
+    """The 4 x 4 rook's graph: cells in a common row or column."""
+    return pg.Graph(16, tuple((u, v) for u in range(16) for v in range(u + 1, 16)
+                              if u // 4 == v // 4 or u % 4 == v % 4))
+
+
+def test_cache_tells_apart_strongly_regular_graphs(fresh_cache):
+    """The rook's graph and the Shrikhande graph are both strongly regular
+    with parameters (16, 6, 2, 2), so refinement gives them one key, but
+    they are not isomorphic.  A relabelled copy of each joins its own
+    class, along an isomorphism from the class's first graph."""
+    rook, shrikhande = _rook(), _shrikhande()
+    assert not nx.is_isomorphic(rook.to_networkx(), shrikhande.to_networkx())
+    entries = [gn._class_of(graph)[0] for graph in (rook, shrikhande)]
+    assert entries[0] is not entries[1] and entries[0].key == entries[1].key
     assert [len(classes) for classes in gn._CLASSES.values()] == [2]
+    for entry, graph in zip(entries, (rook, shrikhande)):
+        copy = _relabelled(graph, 11)
+        hit, phi = gn._class_of(copy)
+        assert hit is entry
+        _assert_isomorphism(graph, copy, phi)
+    assert [len(classes) for classes in gn._CLASSES.values()] == [2]
+
+
+def test_class_lookup_backtracks_on_rigid_regular_graph(fresh_cache):
+    """The Frucht graph is 3-regular and has no automorphism but the
+    identity: refinement leaves all 12 vertices in one class, and only one
+    of them is the image of the vertex that is paired first, so relabelled
+    copies are mostly found past wrong pairings."""
+    frucht = pg.Graph(12, tuple(nx.frucht_graph().edges))
+    entry, _ = gn._class_of(frucht)
+    assert entry.colours == [0] * 12
+    for seed in range(12):
+        copy = _relabelled(frucht, seed)
+        hit, phi = gn._class_of(copy)
+        assert hit is entry
+        if copy != frucht:
+            _assert_isomorphism(frucht, copy, phi)
+
+
+def _assert_isomorphism(rep, graph, phi):
+    """phi is a bijection from rep's vertices onto graph's that maps rep's
+    edge set onto graph's."""
+    assert sorted(phi) == list(range(graph.n))
+    assert {tuple(sorted((phi[u], phi[v]))) for u, v in rep.edges} \
+        == set(graph.edges)
+
+
+def _random_graph(rnd, n, m):
+    """A random graph with n vertices and m edges."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return pg.Graph(n, tuple(rnd.sample(pairs, m)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(4, 14), st.randoms(use_true_random=False))
+def test_class_lookup_matches_networkx(n, rnd):
+    """A relabelled copy lands in the first graph's class along an
+    isomorphism, and a random graph with the same n and m joins that class
+    exactly when networkx calls it isomorphic."""
+    m = rnd.randrange(n * (n - 1) // 2 + 1)
+    graph = _random_graph(rnd, n, m)
+    with mock.patch.object(gn, "_CLASSES", {}):
+        entry, phi = gn._class_of(graph)
+        assert phi is None and entry.graph is graph
+        copy = _relabelled(graph, rnd.randrange(10**6))
+        hit, phi = gn._class_of(copy)
+        assert hit is entry
+        if copy != graph:
+            _assert_isomorphism(graph, copy, phi)
+        other = _random_graph(rnd, n, m)
+        hit, phi = gn._class_of(other)
+        same = nx.is_isomorphic(graph.to_networkx(), other.to_networkx())
+        assert (hit is entry) == same
+        if same and other != graph:
+            _assert_isomorphism(graph, other, phi)
+
+
+def test_catalog_block_classes_match_networkx(fresh_cache):
+    """The classes of the 310 blocks of the catalog power graphs are
+    networkx's isomorphism classes, and a relabelled copy of each block
+    joins its block's class along an isomorphism."""
+    all_blocks = [b for e in cat.entries()
+                  for b in gn.blocks(pg.power_graph(cat.get(e.label)))]
+    assert len(all_blocks) == 310
+    ours, reps, theirs = [], [], []
+    for b in all_blocks:
+        ours.append(gn._class_of(b)[0])
+        g = b.to_networkx()
+        i = next((i for i, r in enumerate(reps) if nx.is_isomorphic(r, g)),
+                 len(reps))
+        if i == len(reps):
+            reps.append(g)
+        theirs.append(i)
+    first = {}
+    assert [first.setdefault(id(entry), len(first)) for entry in ours] \
+        == theirs
+    assert len(reps) == 40
+    for i, (b, entry) in enumerate(zip(all_blocks, ours)):
+        copy = _relabelled(b, i)
+        hit, phi = gn._class_of(copy)
+        assert hit is entry
+        if copy != entry.graph:
+            _assert_isomorphism(entry.graph, copy, phi)
+
+
+@pytest.mark.parametrize("name", ["K400", "Z2xZ64"])
+def test_large_relabelled_graph_served_from_cache(fresh_cache, name):
+    """Large twin-heavy graphs: K400 is one class of 400 closed twins, and
+    the power graph of Z2 x Z64 (128 vertices) needs individualisation
+    before its classes are twins.  A relabelled copy is answered from the
+    cache."""
+    graph = (pg.complete_graph(400) if name == "K400" else
+             pg.power_graph(gr.direct_product(gr.cyclic(2), gr.cyclic(64))))
+    budget = gn.Budget(max_nodes=1)
+    first = gn.genus_exact(graph, budget)
+    copy = _relabelled(graph, 5)
+    hit = gn.genus_exact(copy, budget)
+    assert hit.path == "cache"
+    assert (hit.kind, hit.lower, hit.upper) \
+        == (first.kind, first.lower, first.upper)
+    tr = hit.upper_certificate["trace"]
+    assert tr == em.trace_faces(copy, hit.upper_certificate["rotation"])
+    assert tr.orientable and tr.euler_genus == 2 * hit.upper
 
 
 @pytest.mark.parametrize("name", ["Dic3", "hexagon_union(3)"])
