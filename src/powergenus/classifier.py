@@ -31,6 +31,9 @@ _REDUCIBLE_ORDERS = frozenset({1, 2, 3, 4})
 #: and crosscap are both exactly 1.
 _HEXAGON_GENUS = 1
 
+#: The verdict kinds of exact values 0, 1 and 2.
+_KINDS = ("planar", "one", "two")
+
 
 # ---------------------------------------------------------------------------
 # certificate trail
@@ -70,124 +73,138 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# rule registry: pure functions from recorded inputs to a conclusion string
+# rule registry: pure functions from recorded inputs to (outcome, conclusion)
 # ---------------------------------------------------------------------------
 
-def _rule_planarity(inp: dict) -> str:
-    s = set(inp["spectrum"])
-    if s <= _PLANAR_ORDERS:
-        return "spectrum within {1,2,3,4}: power graph planar"
-    return "spectrum not within {1,2,3,4}: power graph nonplanar"
+#: The outcome of a rule whose inputs no finite group can have.  Any other
+#: outcome is the verdict kind the rule proves, or None for no bound.
+_IMPOSSIBLE = "impossible"
 
 
-def _rule_big_cyclic(inp: dict) -> str:
+def _rule_planarity(inp: dict) -> tuple[str | None, str]:
+    if set(inp["spectrum"]) <= _PLANAR_ORDERS:
+        return "planar", "spectrum within {1,2,3,4}: power graph planar"
+    return None, "spectrum not within {1,2,3,4}: power graph nonplanar"
+
+
+def _rule_big_cyclic(inp: dict) -> tuple[str | None, str]:
     m = inp["max_order"]
     if m >= 9:
-        return (f"element of order {m} gives a K{m} subgraph: genus >= 3")
-    return "no element of order >= 9: rule gives no bound"
+        return ("at_least_three",
+                f"element of order {m} gives a K{m} subgraph: genus >= 3")
+    return None, "no element of order >= 9: rule gives no bound"
 
 
-def _rule_big_cyclic_crosscap(inp: dict) -> str:
+def _rule_big_cyclic_crosscap(inp: dict) -> tuple[str | None, str]:
     m = inp["max_order"]
     if m >= 7:
-        return (f"element of order {m} gives a K{m} subgraph: crosscap >= 3")
-    return "no element of order >= 7: rule gives no bound"
+        return ("not_two",
+                f"element of order {m} gives a K{m} subgraph: crosscap >= 3")
+    return None, "no element of order >= 7: rule gives no bound"
 
 
-def _rule_five_seven(inp: dict) -> str:
+def _rule_five_seven(inp: dict) -> tuple[str | None, str]:
     hits = sorted(set(inp["spectrum"]) & {5, 7})
-    return (f"element order(s) {hits} present: genus != 2 by the Sylow "
-            "eliminations; exact genus outside the classified range")
+    if not hits:
+        return None, "no element of order 5 or 7: rule gives no bound"
+    return ("other_with_bounds", f"element order(s) {hits} present: genus != 2 "
+            "by the Sylow eliminations; exact genus outside the classified range")
 
 
-def _rule_sylow5_blocks(inp: dict) -> str:
+def _rule_sylow5_blocks(inp: dict) -> tuple[str | None, str]:
     c = inp["five_subgroups"]
-    return (f"{c} cyclic subgroups of order 5 give {c} K5 blocks sharing "
-            f"the identity: crosscap {c} >= 3")
+    if c <= 1:
+        return None, "a unique cyclic subgroup of order 5: rule gives no bound"
+    return ("not_two", f"{c} cyclic subgroups of order 5 give {c} K5 blocks "
+            f"sharing the identity: crosscap {c} >= 3")
 
 
-def _rule_reduction(inp: dict) -> str:
+def _rule_reduction(inp: dict) -> tuple[str | None, str]:
     outside = set(inp["outside_spectrum"])
     if not outside <= {2, 3, 4}:
-        return "reduction not applicable: removed elements exceed orders {2,3,4}"
+        return (_IMPOSSIBLE, "reduction not applicable: removed elements "
+                "exceed orders {2,3,4}")
     surface = inp["surface"]
     r = inp["reduced_value"]
     name = "genus" if surface == "orientable" else "crosscap"
-    return (f"S = union of {inp['subgroup_count']} subgroup(s) of orders "
-            f"{list(inp['subgroup_orders'])}; element orders outside S within "
-            f"{{2,3,4}}; {name} of whole graph = {name} {r} of the subgraph on S")
+    return (_KINDS[r], f"S = union of {inp['subgroup_count']} subgroup(s) of "
+            f"orders {list(inp['subgroup_orders'])}; element orders outside S "
+            f"within {{2,3,4}}; {name} of whole graph = {name} {r} of the "
+            "subgraph on S")
 
 
-def _rule_two_six(inp: dict) -> str:
-    return ("exactly 2 cyclic subgroups of order 6: no finite group has "
-            "precisely two, so the input is not a finite group")
+def _rule_two_six(inp: dict) -> tuple[str | None, str]:
+    return (_IMPOSSIBLE, "exactly 2 cyclic subgroups of order 6: no finite "
+            "group has precisely two, so the input is not a finite group")
 
 
-def _rule_three_six(inp: dict) -> str:
+def _rule_three_six(inp: dict) -> tuple[str | None, str]:
     pairwise = list(inp["pairwise_intersections"])
     if all(k == 3 for k in pairwise):
-        return ("3 cyclic subgroups of order 6, all pairwise intersections of "
-                "order 3: genus two")
+        return ("two", "3 cyclic subgroups of order 6, all pairwise "
+                "intersections of order 3: genus two")
     if any(k == 3 for k in pairwise):
-        return ("3 cyclic subgroups of order 6 with mixed intersection orders "
-                f"{pairwise}: impossible for a finite group")
-    return ("3 cyclic subgroups of order 6, no pairwise intersection of order "
-            "3: K1+3K4 subgraph of genus 3, so genus >= 3")
+        return (_IMPOSSIBLE, "3 cyclic subgroups of order 6 with mixed "
+                f"intersection orders {pairwise}: impossible for a finite group")
+    return ("at_least_three", "3 cyclic subgroups of order 6, no pairwise "
+            "intersection of order 3: K1+3K4 subgraph of genus 3, so genus >= 3")
 
 
-def _rule_table2(inp: dict) -> str:
-    return (f"group matches catalog entry {inp['label']}, one of the seven "
-            "groups with spectrum within {1,2,3,4,6}, exactly three cyclic "
-            "subgroups of order 6 and an order-3 pairwise intersection")
+def _rule_table2(inp: dict) -> tuple[str | None, str]:
+    return ("two", f"group matches catalog entry {inp['label']}, one of the "
+            "seven groups with spectrum within {1,2,3,4,6}, exactly three "
+            "cyclic subgroups of order 6 and an order-3 pairwise intersection")
 
 
-def _rule_four_six_pairing(inp: dict) -> str:
+def _rule_four_six_pairing(inp: dict) -> tuple[str | None, str]:
     if inp["has_disjoint_pairing"]:
-        return ("4 cyclic subgroups of order 6 admitting two disjoint pairs "
-                "with order-3 intersections: no finite group admits this")
-    return ("4 cyclic subgroups of order 6 without two disjoint order-3 "
-            "pairs: genus >= 2 from the subgraph on their union, and genus 2 "
-            "would require such a pairing, so genus >= 3")
+        return (_IMPOSSIBLE, "4 cyclic subgroups of order 6 admitting two "
+                "disjoint pairs with order-3 intersections: no finite group "
+                "admits this")
+    return ("at_least_three", "4 cyclic subgroups of order 6 without two "
+            "disjoint order-3 pairs: genus >= 2 from the subgraph on their "
+            "union, and genus 2 would require such a pairing, so genus >= 3")
 
 
-def _rule_five_six(inp: dict) -> str:
-    return (f"{inp['six_count']} >= 5 cyclic subgroups of order 6: genus >= 3")
+def _rule_five_six(inp: dict) -> tuple[str | None, str]:
+    return ("at_least_three",
+            f"{inp['six_count']} >= 5 cyclic subgroups of order 6: genus >= 3")
 
 
-def _rule_many_six_crosscap(inp: dict) -> str:
-    return (f"{inp['six_count']} >= 3 cyclic subgroups of order 6: "
-            "crosscap > 2")
+def _rule_many_six_crosscap(inp: dict) -> tuple[str | None, str]:
+    return ("not_two",
+            f"{inp['six_count']} >= 3 cyclic subgroups of order 6: crosscap > 2")
 
 
-def _rule_two_eight(inp: dict) -> str:
+def _rule_two_eight(inp: dict) -> tuple[str | None, str]:
     c = inp["count8"]
     if c >= 2:
-        return (f"{c} cyclic subgroups of order 8: the union of two contains "
-                "K1+(K7 u K4), of genus 3, so genus >= 3")
-    return "a unique cyclic subgroup of order 8: rule gives no bound"
+        return ("at_least_three", f"{c} cyclic subgroups of order 8: the "
+                "union of two contains K1+(K7 u K4), of genus 3, so genus >= 3")
+    return None, "a unique cyclic subgroup of order 8: rule gives no bound"
 
 
-def _rule_order24_fact(inp: dict) -> str:
-    return ("an order-8 and an order-3 element with all orders <= 8 force a "
-            "subgroup of order 24 with spectrum within {1,2,3,4,6,8} "
-            "containing 3 and 8; no group of order 24 has such a spectrum "
-            "(checked over the full order-24 catalog slice)")
+def _rule_order24_fact(inp: dict) -> tuple[str | None, str]:
+    return (_IMPOSSIBLE, "an order-8 and an order-3 element with all orders "
+            "<= 8 force a subgroup of order 24 with spectrum within "
+            "{1,2,3,4,6,8} containing 3 and 8; no group of order 24 has such "
+            "a spectrum (checked over the full order-24 catalog slice)")
 
 
-def _rule_2group(inp: dict) -> str:
+def _rule_2group(inp: dict) -> tuple[str | None, str]:
     label = inp.get("label")
     if label is not None:
-        return (f"2-group with a unique cyclic subgroup of order 8 and "
+        return ("two", "2-group with a unique cyclic subgroup of order 8 and "
                 f"spectrum {{1,2,4,8}}: isomorphic to {label}, genus two")
-    return ("2-group with a unique cyclic subgroup of order 8 and spectrum "
-            "{1,2,4,8} matching none of the four classified groups: "
+    return (_IMPOSSIBLE, "2-group with a unique cyclic subgroup of order 8 and "
+            "spectrum {1,2,4,8} matching none of the four classified groups: "
             "impossible for a finite group")
 
 
-def _rule_sylow5_with_six(inp: dict) -> str:
-    return ("a unique (hence normal) subgroup of order 5 together with an "
-            "order-6 element forces a subgroup of order 30, which always has "
-            "an order-15 element: impossible for a finite group")
+def _rule_sylow5_with_six(inp: dict) -> tuple[str | None, str]:
+    return (_IMPOSSIBLE, "a unique (hence normal) subgroup of order 5 together "
+            "with an order-6 element forces a subgroup of order 30, which "
+            "always has an order-15 element: impossible for a finite group")
 
 
 _RULES = {
@@ -214,7 +231,7 @@ def replay_step(step: CertificateStep) -> str:
     """Recompute a step's conclusion from its recorded inputs."""
     if step.rule_id not in _RULES:
         raise UnknownRule(step.rule_id)
-    return _RULES[step.rule_id](step.inputs)
+    return _RULES[step.rule_id](step.inputs)[1]
 
 
 def replay_trail(trail) -> bool:
@@ -222,10 +239,18 @@ def replay_trail(trail) -> bool:
     return all(replay_step(s) == s.conclusion for s in trail)
 
 
-def _step(trail: list, rule_id: str, inputs: dict) -> CertificateStep:
-    s = CertificateStep(rule_id, inputs, _RULES[rule_id](inputs))
-    trail.append(s)
-    return s
+#: Rules whose step is recorded only when they give a bound.
+_FIRED_ONLY = frozenset({"L4.1", "L5.1", "MT1.57", "MT2.5"})
+
+
+def _apply(trail: list, rule_id: str, inputs: dict) -> str | None:
+    """Record a rule's step and return its outcome; raise if impossible."""
+    outcome, conclusion = _RULES[rule_id](inputs)
+    if outcome is not None or rule_id not in _FIRED_ONLY:
+        trail.append(CertificateStep(rule_id, inputs, conclusion))
+    if outcome == _IMPOSSIBLE:
+        raise InternalContradiction(conclusion)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +294,11 @@ def _reduction_inputs(g: FiniteGroup, surface: str, reduced_value: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# classification: orientable surface
+# classification
 # ---------------------------------------------------------------------------
 
-def _spectrum_inputs(g: FiniteGroup) -> dict:
-    return {"spectrum": tuple(sorted(order_spectrum(g).as_set))}
+def _spectrum_inputs(spectrum) -> dict:
+    return {"spectrum": tuple(sorted(spectrum.as_set))}
 
 
 def _match_catalog(g: FiniteGroup, labels) -> str | None:
@@ -312,125 +337,104 @@ def _has_disjoint_pairing(subs) -> bool:
     return False
 
 
-def classify_orientable(g: FiniteGroup) -> Verdict:
-    if g.order > ORDER_CAP:
-        raise OrderCapExceeded(
-            f"classification checked for orders <= {ORDER_CAP}, got {g.order}")
-    trail: list[CertificateStep] = []
-    spectrum = order_spectrum(g)
-    _step(trail, "T2.4", _spectrum_inputs(g))
-    if spectrum.subset_of(_PLANAR_ORDERS):
-        return Verdict("planar", None, tuple(trail), orientable_value=0)
+def _hexagons(g: FiniteGroup, trail: list, surface: str):
+    """Spectrum within {1,2,3,4,6} with an order-6 element: one hexagon
+    decides the surface (L2.5), two cannot occur (L3.1).  Returns the
+    six-profile and the outcome, None from three hexagons on."""
+    prof = six_profile(g)
+    assert prof.count >= 1
+    if prof.count == 1:
+        return prof, _apply(trail, "L2.5",
+                            _reduction_inputs(g, surface, _HEXAGON_GENUS))
+    if prof.count == 2:
+        _apply(trail, "L3.1", _six_inputs(prof))
+    return prof, None
 
-    m = spectrum.max()
-    if m >= 9:
-        _step(trail, "L4.1", {"max_order": m})
-        return Verdict("at_least_three", None, tuple(trail))
 
-    if 5 in spectrum or 7 in spectrum:
-        _step(trail, "MT1.57", _spectrum_inputs(g))
-        return Verdict("other_with_bounds", None, tuple(trail),
-                       reason="nonplanar and genus != 2; exact genus outside "
-                              "the classified range")
-
+def _orientable(g: FiniteGroup, spectrum, trail: list) -> str:
+    kind = (_apply(trail, "L4.1", {"max_order": spectrum.max()})
+            or _apply(trail, "MT1.57", _spectrum_inputs(spectrum)))
+    if kind:
+        return kind
     if 8 in spectrum:
         count8 = len(cyclic_subgroups_of_order(g, 8))
-        step = _step(trail, "L4.2a", {"count8": count8})
-        if count8 >= 2:
-            return Verdict("at_least_three", None, tuple(trail))
+        if kind := _apply(trail, "L4.2a", {"count8": count8}):
+            return kind
         if 3 in spectrum or 6 in spectrum:
-            step = _step(trail, "F24", _spectrum_inputs(g))
-            raise InternalContradiction(step.conclusion)
+            _apply(trail, "F24", _spectrum_inputs(spectrum))
         label = _match_catalog(g, _GENUS_TWO_2GROUPS)
-        step = _step(trail, "L4.2", {"count8": count8, "label": label})
-        if label is None:
-            raise InternalContradiction(step.conclusion)
-        _step(trail, "L2.5", _reduction_inputs(g, "orientable", kn_genus(8)))
-        return Verdict("two", None, tuple(trail), orientable_value=2,
-                       table1_label=label)
+        _apply(trail, "L4.2", {"count8": count8, "label": label})
+        return _apply(trail, "L2.5",
+                      _reduction_inputs(g, "orientable", kn_genus(8)))
 
-    # spectrum within {1,2,3,4,6} with an order-6 element
-    prof = six_profile(g)
-    assert prof.count >= 1
-    if prof.count == 1:
-        _step(trail, "L2.5",
-              _reduction_inputs(g, "orientable", _HEXAGON_GENUS))
-        return Verdict("one", None, tuple(trail), orientable_value=1)
-    if prof.count == 2:
-        step = _step(trail, "L3.1", _six_inputs(prof))
-        raise InternalContradiction(step.conclusion)
+    prof, kind = _hexagons(g, trail, "orientable")
+    if kind:
+        return kind
     if prof.count == 3:
-        step = _step(trail, "L4.3", _six_inputs(prof))
-        if prof.all_pairwise_three():
-            label = _match_catalog(g, cat.TABLE2_LABELS)
-            if label is None:
-                raise InternalContradiction(
-                    "three order-6 subgroups with all pairwise intersections "
-                    "of order 3, but no catalog match: impossible for a "
-                    f"group of order {g.order} <= {ORDER_CAP}")
-            _step(trail, "T3.3", {"label": label})
-            _step(trail, "L2.5", _reduction_inputs(g, "orientable", 2))
-            return Verdict("two", None, tuple(trail), orientable_value=2,
-                           table1_label=label)
-        if any(k == 3 for k in prof.pairwise_intersections):
-            raise InternalContradiction(step.conclusion)
-        return Verdict("at_least_three", None, tuple(trail))
+        if (kind := _apply(trail, "L4.3", _six_inputs(prof))) != "two":
+            return kind
+        label = _match_catalog(g, cat.TABLE2_LABELS)
+        if label is None:
+            raise InternalContradiction(
+                "three order-6 subgroups with all pairwise intersections "
+                "of order 3, but no catalog match: impossible for a "
+                f"group of order {g.order} <= {ORDER_CAP}")
+        _apply(trail, "T3.3", {"label": label})
+        return _apply(trail, "L2.5", _reduction_inputs(g, "orientable", 2))
     if prof.count == 4:
-        subs = cyclic_subgroups_of_order(g, 6)
-        pairing = _has_disjoint_pairing(subs)
-        step = _step(trail, "T3.4",
-                     {**_six_inputs(prof), "has_disjoint_pairing": pairing})
-        if pairing:
-            raise InternalContradiction(step.conclusion)
-        return Verdict("at_least_three", None, tuple(trail))
-    _step(trail, "L4.5", _six_inputs(prof))
-    return Verdict("at_least_three", None, tuple(trail))
+        pairing = _has_disjoint_pairing(cyclic_subgroups_of_order(g, 6))
+        return _apply(trail, "T3.4",
+                      {**_six_inputs(prof), "has_disjoint_pairing": pairing})
+    return _apply(trail, "L4.5", _six_inputs(prof))
 
 
-# ---------------------------------------------------------------------------
-# classification: nonorientable surface
-# ---------------------------------------------------------------------------
+def _nonorientable(g: FiniteGroup, spectrum, trail: list) -> str:
+    if kind := _apply(trail, "L5.1", {"max_order": spectrum.max()}):
+        return kind
+    if 5 in spectrum:
+        count5 = len(cyclic_subgroups_of_order(g, 5))
+        if kind := _apply(trail, "MT2.5", {"five_subgroups": count5}):
+            return kind
+        if 6 in spectrum:
+            _apply(trail, "MT2.56", _spectrum_inputs(spectrum))
+        return _apply(trail, "L2.5", _reduction_inputs(g, "nonorientable", 1))
+    prof, kind = _hexagons(g, trail, "nonorientable")
+    return kind or _apply(trail, "L5.2", _six_inputs(prof))
 
-def classify_nonorientable(g: FiniteGroup) -> Verdict:
+
+#: A verdict's reason, by the rule that ends its trail.
+_REASONS = {"MT1.57": "nonplanar and genus != 2; exact genus outside the "
+                      "classified range",
+            "L5.1": "crosscap >= 3", "MT2.5": "crosscap >= {five_subgroups}",
+            "L5.2": "crosscap > 2"}
+
+
+def _classify(g: FiniteGroup, rest):
+    """The order cap and T2.4, then ``rest`` for a nonplanar group.  Returns
+    the kind, its exact value, the trail and the reason read off it."""
     if g.order > ORDER_CAP:
         raise OrderCapExceeded(
             f"classification checked for orders <= {ORDER_CAP}, got {g.order}")
     trail: list[CertificateStep] = []
     spectrum = order_spectrum(g)
-    _step(trail, "T2.4", _spectrum_inputs(g))
-    if spectrum.subset_of(_PLANAR_ORDERS):
-        return Verdict(None, "planar", tuple(trail), nonorientable_value=0)
+    kind = (_apply(trail, "T2.4", _spectrum_inputs(spectrum))
+            or rest(g, spectrum, trail))
+    last = trail[-1]
+    reason = _REASONS.get(last.rule_id, "").format(**last.inputs) or None
+    return kind, _KINDS.index(kind) if kind in _KINDS else None, trail, reason
 
-    m = spectrum.max()
-    if m >= 7:
-        _step(trail, "L5.1", {"max_order": m})
-        return Verdict(None, "not_two", tuple(trail),
-                       reason="crosscap >= 3")
 
-    if 5 in spectrum:
-        count5 = len(cyclic_subgroups_of_order(g, 5))
-        if count5 > 1:
-            _step(trail, "MT2.5", {"five_subgroups": count5})
-            return Verdict(None, "not_two", tuple(trail),
-                           reason=f"crosscap >= {count5}")
-        if 6 in spectrum:
-            step = _step(trail, "MT2.56", _spectrum_inputs(g))
-            raise InternalContradiction(step.conclusion)
-        _step(trail, "L2.5", _reduction_inputs(g, "nonorientable", 1))
-        return Verdict(None, "one", tuple(trail), nonorientable_value=1)
+def classify_orientable(g: FiniteGroup) -> Verdict:
+    kind, value, trail, reason = _classify(g, _orientable)
+    label = next((s.inputs["label"] for s in trail if "label" in s.inputs), None)
+    return Verdict(kind, None, tuple(trail), orientable_value=value,
+                   table1_label=label, reason=reason)
 
-    # spectrum within {1,2,3,4,6} with an order-6 element
-    prof = six_profile(g)
-    assert prof.count >= 1
-    if prof.count == 1:
-        _step(trail, "L2.5",
-              _reduction_inputs(g, "nonorientable", _HEXAGON_GENUS))
-        return Verdict(None, "one", tuple(trail), nonorientable_value=1)
-    if prof.count == 2:
-        step = _step(trail, "L3.1", _six_inputs(prof))
-        raise InternalContradiction(step.conclusion)
-    _step(trail, "L5.2", _six_inputs(prof))
-    return Verdict(None, "not_two", tuple(trail), reason="crosscap > 2")
+
+def classify_nonorientable(g: FiniteGroup) -> Verdict:
+    kind, value, trail, reason = _classify(g, _nonorientable)
+    return Verdict(None, kind, tuple(trail), nonorientable_value=value,
+                   reason=reason)
 
 
 def classify(g: FiniteGroup) -> Verdict:
@@ -450,12 +454,8 @@ def classify(g: FiniteGroup) -> Verdict:
 
 def _category_interval(kind: str):
     """Genus values compatible with a verdict, as (lo, hi) with hi=None open."""
-    if kind == "planar":
-        return (0, 0)
-    if kind == "one":
-        return (1, 1)
-    if kind == "two":
-        return (2, 2)
+    if kind in _KINDS:
+        return (_KINDS.index(kind), _KINDS.index(kind))
     if kind == "at_least_three" or kind == "not_two":
         return (3, None)
     assert kind == "other_with_bounds"

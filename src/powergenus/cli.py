@@ -1,7 +1,7 @@
 """Command-line surface: build groups, export power graphs, run the genus
 search, classify, and reproduce the summary tables and lemma checks.
 
-Exit codes: 0 success/exact, 2 bounds-only, 1 error.
+Exit codes: 0 success/exact, 2 bounds-only, 1 error (usage errors included).
 """
 
 from __future__ import annotations
@@ -28,19 +28,22 @@ EXIT_BOUNDS = 2
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _common_flags() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--budget-nodes", type=int, default=100_000_000,
-                   metavar="N", help="search node cap")
-    p.add_argument("--budget-seconds", type=float, default=600.0,
-                   metavar="S", help="search time cap")
-    p.add_argument("--format", choices=("text", "records"), default="text",
-                   help="output style")
-    p.add_argument("--catalog", metavar="PATH",
-                   help="override the built-in group catalog")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the generated-at header")
-    return p
+def _shared_flags():
+    """Parent parsers for the flags that more than one command reads: search
+    budgets, output style, catalog override and timestamp header."""
+    budget, style, catalog, stamp = (argparse.ArgumentParser(add_help=False)
+                                     for _ in range(4))
+    budget.add_argument("--budget-nodes", type=int, default=100_000_000,
+                        metavar="N", help="search node cap")
+    budget.add_argument("--budget-seconds", type=float, default=600.0,
+                        metavar="S", help="search time cap")
+    style.add_argument("--format", choices=("text", "records"), default="text",
+                       help="output style")
+    catalog.add_argument("--catalog", metavar="PATH",
+                         help="override the built-in group catalog")
+    stamp.add_argument("--no-timestamp", action="store_true",
+                       help="omit the generated-at header")
+    return budget, style, catalog, stamp
 
 
 def _budget(args) -> Budget:
@@ -212,17 +215,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    budget, style, catalog, stamp = _shared_flags()
     p = argparse.ArgumentParser(prog="powergenus",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("group-info", parents=[common],
+    s = sub.add_parser("group-info", parents=[style, catalog, stamp],
                        help="order, spectrum, six-profile of a group")
     s.add_argument("group", help="catalog label or recipe expression")
     s.set_defaults(func=cmd_group_info)
 
-    s = sub.add_parser("powergraph", parents=[common],
+    s = sub.add_parser("powergraph", parents=[catalog, stamp],
                        help="export a power graph")
     s.add_argument("group")
     fmt = s.add_mutually_exclusive_group()
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--output", "-o", metavar="PATH")
     s.set_defaults(func=cmd_powergraph)
 
-    s = sub.add_parser("genus", parents=[common],
+    s = sub.add_parser("genus", parents=[budget, stamp],
                        help="exact genus search on an edge-list file")
     s.add_argument("edgefile")
     surf = s.add_mutually_exclusive_group()
@@ -244,19 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the embedding certificate here")
     s.set_defaults(func=cmd_genus)
 
-    s = sub.add_parser("classify", parents=[common],
+    s = sub.add_parser("classify", parents=[style, catalog, stamp],
                        help="genus verdict with certificate trail")
     s.add_argument("group", nargs="?")
     s.add_argument("--all-catalog", action="store_true")
     s.set_defaults(func=cmd_classify)
 
-    s = sub.add_parser("report", parents=[common],
+    s = sub.add_parser("report", parents=[catalog, stamp],
                        help="reproduce the result tables and lemma checks")
     s.add_argument("target", choices=("table1", "table2", "lemma"))
     s.add_argument("rule", nargs="?", help="rule id for 'lemma'")
     s.set_defaults(func=cmd_report)
 
-    s = sub.add_parser("verify", parents=[common],
+    s = sub.add_parser("verify", parents=[stamp],
                        help="re-trace an embedding certificate")
     s.add_argument("certfile")
     s.set_defaults(func=cmd_verify)
@@ -264,7 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_ERROR if exc.code else EXIT_OK
     if args.command == "classify" and not args.all_catalog and not args.group:
         print("error: classify needs a group or --all-catalog", file=sys.stderr)
         return EXIT_ERROR

@@ -160,31 +160,17 @@ def trace_faces(graph: Graph, rs) -> FaceTrace:
     validate_rotation(graph, rs)
     if graph.m == 0:
         raise InvalidRotation("face tracing needs at least one edge")
-    # connectivity over all declared vertices
-    adj = graph.adjacency()
-    start = graph.edges[0][0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != graph.n:
-        raise Disconnected("face tracing requires a connected graph")
-
     twist = [0] * graph.m
     if rs.is_signed():
         twist = [0 if s == 1 else 1 for s in rs.signs]
+    # orientable iff the double cover is disconnected, which for a connected
+    # base is equivalent to the signed graph being balanced
+    orientable = _connected_and_balanced(graph, twist)
     nxt, prv = _next_arrays(rs.rotations, graph.m)
     darts = range(2 * graph.m)
     face, norbits, walks, firsts = _trace_states(darts, nxt, prv, twist)
     assert norbits % 2 == 0
     f = norbits // 2
-    # orientable iff the double cover is disconnected, which for a connected
-    # base is equivalent to the signed graph being balanced
-    orientable = _is_balanced(graph, twist)
     chi = graph.n - graph.m + f
     euler_genus = 2 - chi
     # the deck transformation pairs each face's two lifts: state (d, i)
@@ -201,27 +187,29 @@ def trace_faces(graph: Graph, rs) -> FaceTrace:
     return FaceTrace(f, tuple(sorted(reps)), chi, euler_genus, orientable)
 
 
-def _is_balanced(graph: Graph, twist) -> bool:
-    """True when every cycle has an even number of twisted edges."""
+def _connected_and_balanced(graph: Graph, twist) -> bool:
+    """One search from vertex 0: raise Disconnected unless it reaches every
+    vertex, and return whether every cycle has an even number of twisted
+    edges."""
     color = [-1] * graph.n
     adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
     for e, (u, v) in enumerate(graph.edges):
         adj[u].append((v, twist[e]))
         adj[v].append((u, twist[e]))
-    for start in range(graph.n):
-        if color[start] != -1 or not adj[start]:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, t in adj[v]:
-                if color[w] == -1:
-                    color[w] = color[v] ^ t
-                    stack.append(w)
-                elif color[w] != color[v] ^ t:
-                    return False
-    return True
+    color[0] = 0
+    stack = [0]
+    balanced = True
+    while stack:
+        v = stack.pop()
+        for w, t in adj[v]:
+            if color[w] == -1:
+                color[w] = color[v] ^ t
+                stack.append(w)
+            elif color[w] != color[v] ^ t:
+                balanced = False
+    if -1 in color:
+        raise Disconnected("face tracing requires a connected graph")
+    return balanced
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 import powergenus.catalog as cat
 import powergenus.classifier as cls
 import powergenus.groups as gr
-from powergenus.errors import OrderCapExceeded, UnknownRule
+from powergenus.errors import (InternalContradiction, OrderCapExceeded,
+                               UnknownRule)
 from powergenus.genus import Budget
 
 
@@ -164,3 +167,113 @@ def test_planarity_criterion_matches_spectrum():
         g = cat.get(e.label)
         planar = is_planar(power_graph(g)).planar
         assert planar == gr.order_spectrum(g).subset_of({1, 2, 3, 4})
+
+
+def _pinned_groups():
+    """The catalog plus constructed groups that reach every surface branch
+    the catalog leaves out (orders 5 and 7, many order-5 subgroups, the
+    order cap)."""
+    groups = [(e.label, cat.get(e.label)) for e in cat.entries()]
+    groups += [(f"Z{n}", gr.cyclic(n)) for n in range(1, 40)]
+    groups += [(f"D{n}", gr.dihedral(n)) for n in range(2, 59, 2)]
+    groups += [(f"Dic{n}", gr.dicyclic(n)) for n in range(2, 20)]
+    groups += [(f"S{n}", gr.symmetric(n)) for n in range(1, 6)]
+    groups += [(f"A{n}", gr.alternating(n)) for n in range(1, 6)]
+    groups += [(f"Z{a}xZ{b}", gr.direct_product(gr.cyclic(a), gr.cyclic(b)))
+               for a in range(2, 9) for b in range(2, 9)]
+    groups += [("Z5xZ5", gr.direct_product(gr.cyclic(5), gr.cyclic(5))),
+               ("S3xZ5", gr.direct_product(gr.symmetric(3), gr.cyclic(5))),
+               ("Z145", gr.cyclic(145))]
+    return groups
+
+
+#: sha256 of every classification of ``_pinned_groups``, as hashed below.
+TRAIL_DIGEST = \
+    "7d32ca2198186e593e5906cddc96ce56da7e151ac2684a0e707cc530fee103a1"
+
+
+def test_trails_pinned():
+    """Every verdict field and trail step (rule id, inputs, conclusion) of
+    both surfaces, on 204 groups, hashed into one digest."""
+    h = hashlib.sha256()
+    groups = _pinned_groups()
+    assert len(groups) == 204
+    for name, g in groups:
+        for fn in (cls.classify, cls.classify_orientable,
+                   cls.classify_nonorientable):
+            try:
+                v = fn(g)
+            except OrderCapExceeded as exc:
+                rec = (name, fn.__name__, type(exc).__name__, str(exc))
+            else:
+                rec = (name, fn.__name__,
+                       (v.orientable, v.nonorientable, v.orientable_value,
+                        v.nonorientable_value, v.table1_label, v.reason),
+                       [(s.rule_id, sorted(s.inputs.items()), s.conclusion)
+                        for s in v.trail])
+            h.update(repr(rec).encode() + b"\n")
+    assert h.hexdigest() == TRAIL_DIGEST
+
+
+def _contradiction(classify, g, rule_id, inputs):
+    """classify(g) raises InternalContradiction with the rule's conclusion
+    on ``inputs`` as its message."""
+    expected = cls.replay_step(cls.CertificateStep(rule_id, inputs, ""))
+    with pytest.raises(InternalContradiction) as info:
+        classify(g)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("classify", [cls.classify_orientable,
+                                      cls.classify_nonorientable])
+def test_two_hexagons_contradict(monkeypatch, classify):
+    monkeypatch.setattr(cls, "six_profile", lambda g: gr.SixProfile(2, (3,)))
+    _contradiction(classify, gr.cyclic(6), "L3.1",
+                   {"six_count": 2, "pairwise_intersections": (3,)})
+
+
+def test_three_hexagons_mixed_intersections_contradict(monkeypatch):
+    monkeypatch.setattr(cls, "six_profile",
+                        lambda g: gr.SixProfile(3, (3, 1, 1)))
+    _contradiction(cls.classify_orientable, cat.get("[12,5]"), "L4.3",
+                   {"six_count": 3, "pairwise_intersections": (3, 1, 1)})
+
+
+def test_four_hexagons_disjoint_pairing_contradicts(monkeypatch):
+    monkeypatch.setattr(cls, "_has_disjoint_pairing", lambda subs: True)
+    _contradiction(cls.classify_orientable, cat.get("Z3xZ6"), "T3.4",
+                   {"six_count": 4, "pairwise_intersections": (2,) * 6,
+                    "has_disjoint_pairing": True})
+
+
+def test_unmatched_2group_contradicts(monkeypatch):
+    monkeypatch.setattr(cls, "_match_catalog", lambda g, labels: None)
+    _contradiction(cls.classify_orientable, cat.get("[8,1]"), "L4.2",
+                   {"count8": 1, "label": None})
+
+
+def test_unmatched_table2_group_contradicts(monkeypatch):
+    monkeypatch.setattr(cls, "_match_catalog", lambda g, labels: None)
+    with pytest.raises(InternalContradiction) as info:
+        cls.classify_orientable(cat.get("[12,5]"))
+    assert str(info.value) == (
+        "three order-6 subgroups with all pairwise intersections of order 3, "
+        "but no catalog match: impossible for a group of order 12 <= 144")
+
+
+def test_replay_checks_premises():
+    """A step whose inputs fail its rule's premise does not replay to the
+    rule's firing conclusion."""
+    tampered = [
+        cls.CertificateStep(
+            "MT2.5", {"five_subgroups": 1},
+            "1 cyclic subgroups of order 5 give 1 K5 blocks sharing the "
+            "identity: crosscap 1 >= 3"),
+        cls.CertificateStep(
+            "MT1.57", {"spectrum": (1, 2, 3, 6)},
+            "element order(s) [] present: genus != 2 by the Sylow "
+            "eliminations; exact genus outside the classified range"),
+    ]
+    for step in tampered:
+        assert not cls.replay_trail([step])
+        assert "rule gives no bound" in cls.replay_step(step)

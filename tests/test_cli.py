@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,19 @@ def test_group_info_order_above_table_limit(capsys):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [("classify", "--bogus"), ("genus",)])
+def test_usage_errors_exit_1(capsys, argv):
+    """A usage error is an error (1), not the bounds-only code (2)."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "usage: powergenus" in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("classify", "--help")])
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: powergenus")
+
+
 def test_powergraph_edges(capsys):
     code, out, _ = run(capsys, "powergraph", "cyclic(8)", "--no-timestamp")
     assert code == 0
@@ -65,6 +82,32 @@ def test_genus_exact_and_verify(tmp_path, capsys):
     assert code == 0 and "genus exact 1" in out
     code, out, _ = run(capsys, "verify", str(cert), "--no-timestamp")
     assert code == 0 and out.startswith("verified")
+
+
+@pytest.mark.parametrize("flag", [("--budget-nodes", "5"),
+                                  ("--format", "records"), ("--catalog", "x")])
+def test_verify_refuses_flags_it_does_not_read(tmp_path, capsys, flag):
+    edge_file = tmp_path / "k5.edges"
+    edge_file.write_text(pg.to_edge_list(pg.complete_graph(5)))
+    cert = tmp_path / "k5.cert"
+    run(capsys, "genus", str(edge_file), "--certificate", str(cert))
+    code, out, err = run(capsys, "verify", *flag, str(cert), "--no-timestamp")
+    assert code == 1 and out == "" and "unrecognized arguments" in err
+
+
+def test_python_m_powergenus():
+    """``python -m powergenus`` runs the CLI and exits with its code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "powergenus", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    proc = module_run("group-info", "[16,9]", "--no-timestamp")
+    assert proc.returncode == 0 and "order:        16" in proc.stdout
+    assert module_run("classify", "--bogus").returncode == 1
 
 
 def test_genus_nonorientable(tmp_path, capsys):

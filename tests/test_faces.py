@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import powergenus.cli as cli
 import powergenus.embed as em
 import powergenus.powergraph as pg
-from powergenus.errors import InvalidRotation, ParseError
+from powergenus.errors import Disconnected, InvalidRotation, ParseError
 
 from conftest import hexagon_union, k33_with_path
 
@@ -57,6 +57,20 @@ def test_triangle_planar_trace():
     k3 = pg.complete_graph(3)
     tr = em.trace_faces(k3, em.rotation_from_adjacency(k3))
     assert tr.face_count == 2 and tr.euler_genus == 0 and tr.orientable
+
+
+@pytest.mark.parametrize("n, edges", [(3, ((0, 1),)), (3, ((1, 2),)),
+                                       (4, ((0, 1), (2, 3)))])
+@pytest.mark.parametrize("signed", [False, True])
+def test_trace_disconnected(n, edges, signed):
+    """An edge beside an isolated vertex (either end of the vertex range)
+    and two disjoint edges are refused."""
+    graph = pg.Graph(n, edges)
+    rs = em.rotation_from_adjacency(graph)
+    if signed:
+        rs = em.RotationSystem(rs.rotations, (-1,) * graph.m)
+    with pytest.raises(Disconnected):
+        em.trace_faces(graph, rs)
 
 
 def test_k4_all_rotations():
