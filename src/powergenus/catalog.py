@@ -204,7 +204,10 @@ def _action_map(name: str, n_grp: FiniteGroup) -> tuple[int, ...]:
         return tuple(n_grp.inv(x) for x in range(n_grp.order))
     m = re.fullmatch(r"power(\d+)", name)
     if m:
-        k = int(m.group(1))
+        try:
+            k = int(m.group(1))
+        except ValueError:  # past Python's limit on digits in int()
+            raise ParseError(f"power exponent too long: {name[:20]}...") from None
         return tuple(n_grp.power(x, k) for x in range(n_grp.order))
     if name == "rot90":
         if n_grp.order != 9:

@@ -55,8 +55,9 @@ class Verdict:
     ``orientable`` is one of planar, one, two, at_least_three,
     other_with_bounds (or None when only the nonorientable side was run);
     ``nonorientable`` is one of planar, one, not_two (or None).
-    Exact values, when known, are in ``orientable_value`` /
-    ``nonorientable_value``; a verdict of two also names the matched
+    Exact values and reasons, when known, are in ``orientable_value`` /
+    ``nonorientable_value`` and ``orientable_reason`` /
+    ``nonorientable_reason``; a verdict of two also names the matched
     ``table1_label``.
     """
 
@@ -66,10 +67,16 @@ class Verdict:
     orientable_value: int | None = None
     nonorientable_value: int | None = None
     table1_label: str | None = None
-    reason: str | None = None
+    orientable_reason: str | None = None
+    nonorientable_reason: str | None = None
 
     def __post_init__(self):
         assert self.trail, "verdict must carry a nonempty trail"
+
+    @property
+    def reason(self) -> str | None:
+        """The reason of a one-surface verdict (the orientable one's first)."""
+        return self.orientable_reason or self.nonorientable_reason
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +435,13 @@ def classify_orientable(g: FiniteGroup) -> Verdict:
     kind, value, trail, reason = _classify(g, _orientable)
     label = next((s.inputs["label"] for s in trail if "label" in s.inputs), None)
     return Verdict(kind, None, tuple(trail), orientable_value=value,
-                   table1_label=label, reason=reason)
+                   table1_label=label, orientable_reason=reason)
 
 
 def classify_nonorientable(g: FiniteGroup) -> Verdict:
     kind, value, trail, reason = _classify(g, _nonorientable)
     return Verdict(None, kind, tuple(trail), nonorientable_value=value,
-                   reason=reason)
+                   nonorientable_reason=reason)
 
 
 def classify(g: FiniteGroup) -> Verdict:
@@ -445,7 +452,8 @@ def classify(g: FiniteGroup) -> Verdict:
                    orientable_value=o.orientable_value,
                    nonorientable_value=n.nonorientable_value,
                    table1_label=o.table1_label,
-                   reason=o.reason or n.reason)
+                   orientable_reason=o.orientable_reason,
+                   nonorientable_reason=n.nonorientable_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -144,9 +144,9 @@ def _verdict_lines(args, label: str, g: FiniteGroup, v) -> list[str]:
         return [cls.verdict_record(label, g, v)]
     lines = [f"group: {label} (order {g.order})"]
     extra = f" (Table 1 label {v.table1_label})" if v.table1_label else ""
-    lines.append(f"orientable:    {v.orientable}{extra}")
-    reason = f" ({v.reason})" if v.reason else ""
-    lines.append(f"nonorientable: {v.nonorientable}{reason}")
+    why = [f" ({r})" if r else "" for r in (v.orientable_reason, v.nonorientable_reason)]
+    lines.append(f"orientable:    {v.orientable}{extra}{why[0]}")
+    lines.append(f"nonorientable: {v.nonorientable}{why[1]}")
     lines.append("trail:")
     lines.extend(f"  {s.rule_id}: {s.conclusion}" for s in v.trail)
     return lines

@@ -93,11 +93,10 @@ def validate_rotation(graph: Graph, rs) -> None:
 
 @dataclass(frozen=True)
 class FaceTrace:
-    """Result of tracing the faces of a (signed) rotation system."""
+    """What tracing a (signed) rotation system's faces shows and a
+    certificate claims; isomorphisms that carry the system keep all three."""
 
     face_count: int
-    faces: tuple[tuple[int, ...], ...]  # dart walks, one per face
-    euler_characteristic: int
     euler_genus: int
     orientable: bool
 
@@ -129,62 +128,48 @@ def _trace_states(darts, nxt, prv, twist):
     State ``2*d + level``: about to walk along dart d on the given level.
     Step: cross the edge (flip level on a twisted edge), then take the
     rotation successor (level 0) or predecessor (level 1).
-    Returns (orbit id per state, orbit count, walks, first state per orbit).
+    Returns (orbit id per state, orbit count, first state per orbit).
     """
     face = {}
-    walks = []
     firsts = []
-    nface = 0
     for d0 in darts:
         for lvl0 in (0, 1):
             s = 2 * d0 + lvl0
             if s in face:
                 continue
+            nface = len(firsts)
             firsts.append(s)
-            walk = []
             while s not in face:
                 face[s] = nface
-                walk.append(s >> 1)
                 d = s >> 1
-                d2 = d ^ 1
                 l2 = (s & 1) ^ twist[d >> 1]
-                d3 = nxt[d2] if l2 == 0 else prv[d2]
+                d3 = nxt[d ^ 1] if l2 == 0 else prv[d ^ 1]
                 s = 2 * d3 + l2
-            walks.append(tuple(walk))
-            nface += 1
-    return face, nface, walks, firsts
+    return face, len(firsts), firsts
 
 
 def trace_faces(graph: Graph, rs) -> FaceTrace:
-    """Trace all faces of a (signed) rotation system for a connected graph."""
+    """Trace all faces of a (signed) rotation system for a connected graph:
+    the face count, the Euler genus and orientability."""
     validate_rotation(graph, rs)
     if graph.m == 0:
         raise InvalidRotation("face tracing needs at least one edge")
-    twist = [0] * graph.m
-    if rs.is_signed():
-        twist = [0 if s == 1 else 1 for s in rs.signs]
+    twist = [int(s != 1) for s in rs.signs] if rs.is_signed() else [0] * graph.m
     # orientable iff the double cover is disconnected, which for a connected
     # base is equivalent to the signed graph being balanced
     orientable = _connected_and_balanced(graph, twist)
     nxt, prv = _next_arrays(rs.rotations, graph.m)
-    darts = range(2 * graph.m)
-    face, norbits, walks, firsts = _trace_states(darts, nxt, prv, twist)
-    assert norbits % 2 == 0
-    f = norbits // 2
-    chi = graph.n - graph.m + f
-    euler_genus = 2 - chi
+    face, norbits, firsts = _trace_states(range(2 * graph.m), nxt, prv, twist)
     # the deck transformation pairs each face's two lifts: state (d, i)
-    # pairs with (alpha(d), 1 ^ i ^ twist(d)); keep one walk per pair
-    reps = []
-    for i in range(norbits):
-        s = firsts[i]
+    # pairs with (alpha(d), 1 ^ i ^ twist(d)), on a distinct cover face
+    pairs = 0
+    for i, s in enumerate(firsts):
         d = s >> 1
         j = face[2 * (d ^ 1) + (1 ^ (s & 1) ^ twist[d >> 1])]
         assert j != i, "face lift paired with itself"
-        if i < j:
-            reps.append(min(walks[i], walks[j]))
-    assert len(reps) == f
-    return FaceTrace(f, tuple(sorted(reps)), chi, euler_genus, orientable)
+        pairs += i < j
+    assert 2 * pairs == norbits
+    return FaceTrace(pairs, 2 - (graph.n - graph.m + pairs), orientable)
 
 
 def _connected_and_balanced(graph: Graph, twist) -> bool:
@@ -716,9 +701,10 @@ def certificate_to_text(graph: Graph, rs, tr: FaceTrace) -> str:
 def certificate_from_text(text: str):
     """Parse a certificate file; returns (graph, rotation system, claim dict).
 
-    Every malformed line, a signs line missing from a signed certificate (or
-    present in an orientable one) and a claim that does not state the face
-    count, Euler genus and orientability raise ParseError."""
+    Every malformed line, a repeated rotation, signs or claim line, a signs
+    line missing from a signed certificate (or present in an orientable
+    one) and a claim that does not state the face count, Euler genus and
+    orientability once each raise ParseError."""
     lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("embedding "):
         raise ParseError("expected 'embedding n m kind' header")
@@ -745,6 +731,7 @@ def certificate_from_text(text: str):
     rots: list[tuple[int, ...]] = [()] * n
     signs = None
     claim = {}
+    stated = []  # rotation lines' vertices, "signs", "claim", claim keys
     for ln in lines[1 + m:]:
         try:
             if ln.startswith("rot "):
@@ -752,22 +739,29 @@ def certificate_from_text(text: str):
                 v = int(head.split()[1])
                 if not 0 <= v < n:
                     raise ParseError(f"rotation for a missing vertex: {ln!r}")
+                stated.append(v)
                 rots[v] = tuple(int(x) for x in rest.split())
             elif ln.startswith("signs"):
+                stated.append("signs")
                 signs = tuple(int(x) for x in ln.split()[1:])
             elif ln.startswith("claim"):
+                stated.append("claim")
                 for tok in ln.split()[1:]:
                     k, eq, val = tok.partition("=")
                     if eq and k in ("faces", "euler_genus"):
                         claim[k] = int(val)
                     elif tok in ("orientable", "nonorientable"):
-                        claim["orientable"] = tok == "orientable"
+                        k = "orientable"
+                        claim[k] = tok == "orientable"
                     else:
                         raise ParseError(f"unknown claim {tok!r}")
+                    stated.append(k)
             else:
                 raise ParseError(f"unexpected certificate line {ln!r}")
         except (IndexError, ValueError):
             raise ParseError(f"bad certificate line {ln!r}") from None
+    if len(set(stated)) != len(stated):
+        raise ParseError("a rotation, signs or claim line, or a claim, is repeated")
     if (signs is not None) != (kind == "signed"):
         raise ParseError(f"{kind} certificate with"
                          f"{'out' if signs is None else ''} a signs line")
@@ -781,12 +775,8 @@ def verify_certificate(text: str) -> tuple[bool, str]:
     """Re-trace a certificate and check its claim; returns (ok, message)."""
     graph, rs, claim = certificate_from_text(text)
     tr = trace_faces(graph, rs)
-    checks = [
-        ("faces", tr.face_count),
-        ("euler_genus", tr.euler_genus),
-        ("orientable", tr.orientable),
-    ]
-    for key, got in checks:
+    for key, got in (("faces", tr.face_count), ("euler_genus", tr.euler_genus),
+                     ("orientable", tr.orientable)):
         if claim[key] != got:
             return False, f"claim mismatch: {key} claimed {claim[key]}, traced {got}"
     return True, (f"verified: faces={tr.face_count} euler_genus={tr.euler_genus} "

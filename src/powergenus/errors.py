@@ -8,7 +8,7 @@ class PowerGenusError(Exception):
 # --- group construction -----------------------------------------------------
 
 class ClosureCapExceeded(PowerGenusError):
-    """Permutation closure grew past the configured element cap."""
+    """Permutation closure grew past ``groups.MAX_ORDER`` elements."""
 
 
 class EmptyGeneratorList(PowerGenusError):

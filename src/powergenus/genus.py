@@ -586,9 +586,11 @@ def _carry(res: GenusResult, rep: Graph, graph: Graph, phi: list[int],
 
     Edge (u, v) of rep goes to (phi u, phi v), and its dart from u to the
     dart from phi u, which is the other side when phi u > phi v; rotations
-    and signs move with their darts and edges, and the embedding is traced
-    again on graph.  A witness is rebuilt on graph under graph's labels
-    (labels name the witness's vertices).  Other certificates are copied.
+    and signs move with their darts and edges.  The face trace stays: phi,
+    confirmed edge by edge in ``_isomorphism``, maps rep's faces onto the
+    carried embedding's, so their count, Euler genus and orientability are
+    the same.  A witness is rebuilt on graph under graph's labels (labels
+    name the witness's vertices).  Other certificates are copied.
     """
     eindex = {e: i for i, e in enumerate(graph.edges)}
     dart = [0] * (2 * rep.m)
@@ -611,10 +613,7 @@ def _carry(res: GenusResult, rep: Graph, graph: Graph, phi: list[int],
                 for e, sign in enumerate(rs.signs):
                     signs[dart[2 * e] >> 1] = sign
                 signs = tuple(signs)
-            rs = RotationSystem(tuple(rots), signs)
-            cert["rotation"] = rs
-            if cert["trace"] is not None:
-                cert["trace"] = trace_faces(graph, rs)
+            cert["rotation"] = RotationSystem(tuple(rots), signs)
         if cert.get("witness") is not None:
             w = cert["witness"]
             index = {label: v for v, label in enumerate(rep.labels)}

@@ -48,6 +48,24 @@ def _check_order(n: int) -> None:
         raise InvalidParameter(f"order {n} exceeds the table limit {MAX_ORDER}")
 
 
+def _outside_table(table) -> np.ndarray:
+    """A table from outside the package as a square int32 array.  Ragged,
+    empty or non-square tables and entries that are not integers in
+    0..n-1 are refused before the cast, which would wrap, truncate or
+    overflow them."""
+    try:
+        t = np.asarray(table)
+    except ValueError:  # ragged rows
+        t = None
+    if t is None or t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
+        raise InvalidParameter("multiplication table must be square")
+    if t.dtype.kind not in "iu":
+        raise InvalidParameter("table entries must be integers")
+    if t.min() < 0 or t.max() >= len(t):
+        raise InvalidParameter("table entries out of range")
+    return t.astype(np.int32, copy=False)
+
+
 def _table_generators(t: np.ndarray) -> list[int] | None:
     """Elements that generate the table under its product, read off the
     table itself, or None when the table is no group.
@@ -91,9 +109,8 @@ class FiniteGroup:
     __slots__ = ("table", "label", "_orders", "_inv", "_powers", "_hash")
 
     def __init__(self, table: np.ndarray, label: str = "", validate: bool = True):
-        table = np.asarray(table, dtype=np.int32)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise InvalidParameter("multiplication table must be square")
+        table = (_outside_table(table) if validate
+                 else np.asarray(table, dtype=np.int32))
         table.setflags(write=False)
         self.table = table
         self.label = label
@@ -158,7 +175,8 @@ class FiniteGroup:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Closure, identity, inverse and associativity checks.
+        """Identity, inverse and associativity checks on a table whose
+        entries are in range (``_outside_table`` checks that).
 
         Associativity is Light's test.  Let A be the set of g with
         (x*g)*y == x*(g*y) for all x, y.  A holds the identity and is closed
@@ -173,8 +191,6 @@ class FiniteGroup:
         """
         t = self.table
         n = self.order
-        if t.min() < 0 or t.max() >= n:
-            raise InvalidParameter("table entries out of range")
         if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
             raise InvalidParameter("element 0 is not a two-sided identity")
         # exactly one identity in every row and every column: a unique
@@ -270,10 +286,8 @@ class SixProfile:
 
 def from_table(table, label: str = "") -> FiniteGroup:
     """Build a group from a raw table, normalizing the identity to index 0."""
-    t = np.asarray(table, dtype=np.int32)
+    t = _outside_table(table)
     n = t.shape[0]
-    if t.shape != (n, n) or t.min(initial=0) < 0 or t.max(initial=0) >= n:
-        raise InvalidParameter("table must be square with entries in 0..n-1")
     _check_order(n)
     idx = np.arange(n)
     two_sided = (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
@@ -316,11 +330,17 @@ def _perm_group(perms, label: str) -> FiniteGroup:
     return FiniteGroup(by_key[pos].reshape(n, n), label=label, validate=False)
 
 
-def from_generators(degree: int, generators, label: str = "",
-                    cap: int = 10000) -> FiniteGroup:
-    """Closure of a set of permutations of {0..degree-1} under composition."""
-    if degree < 1:
-        raise InvalidParameter(f"permutation degree must be >= 1, got {degree}")
+def _check_degree(degree: int) -> None:
+    """1 to ``MAX_ORDER``: by Cayley's theorem every group of order at most
+    ``MAX_ORDER`` acts faithfully on that many points."""
+    if not 1 <= degree <= MAX_ORDER:
+        raise InvalidParameter(f"permutation degree must be in 1..{MAX_ORDER}, got {degree}")
+
+
+def from_generators(degree: int, generators, label: str = "") -> FiniteGroup:
+    """Closure of a set of permutations of {0..degree-1} under composition;
+    ClosureCapExceeded as soon as it has more than ``MAX_ORDER`` elements."""
+    _check_degree(degree)
     gens = [tuple(g) for g in generators]
     if not gens:
         raise EmptyGeneratorList("need at least one generator")
@@ -336,8 +356,9 @@ def from_generators(degree: int, generators, label: str = "",
         for q in frontier[:, gens].reshape(len(frontier) * len(gens), len(ident)):
             key = q.tobytes()
             if key not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapExceeded(f"closure exceeded {cap} elements")
+                if len(seen) >= MAX_ORDER:
+                    raise ClosureCapExceeded(
+                        f"closure exceeded {MAX_ORDER} elements")
                 seen.add(key)
                 nxt.append(q)
         elems.extend(nxt)
@@ -730,6 +751,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Parse cycle notation like ``(0 1 2)(3 4)`` into a permutation tuple."""
+    _check_degree(degree)
     text = text.strip()
     if text in ("()", "e", "id", ""):
         return tuple(range(degree))

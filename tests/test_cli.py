@@ -84,6 +84,18 @@ def test_genus_exact_and_verify(tmp_path, capsys):
     assert code == 0 and out.startswith("verified")
 
 
+def test_verify_refuses_repeated_lines(tmp_path, capsys):
+    """A later rotation or claim line may not overwrite an earlier one: the
+    first ones here are false, the second ones true."""
+    cert = tmp_path / "triangle.cert"
+    cert.write_text("embedding 3 3 orientable\n0 1\n0 2\n1 2\n"
+                    "rot 0: 7 7 7\nrot 0: 0 2\nrot 1: 1 4\nrot 2: 3 5\n"
+                    "claim faces=9 euler_genus=5 nonorientable\n"
+                    "claim faces=2 euler_genus=0 orientable\n")
+    code, out, err = run(capsys, "verify", str(cert), "--no-timestamp")
+    assert code == 1 and out == "" and "repeated" in err
+
+
 @pytest.mark.parametrize("flag", [("--budget-nodes", "5"),
                                   ("--format", "records"), ("--catalog", "x")])
 def test_verify_refuses_flags_it_does_not_read(tmp_path, capsys, flag):
@@ -146,6 +158,24 @@ def test_classify_single(capsys):
     assert code == 0
     assert "orientable:    two (Table 1 label [24,8])" in out
     assert "trail:" in out
+
+
+_MT157 = "nonplanar and genus != 2; exact genus outside the classified range"
+
+
+@pytest.mark.parametrize("group, orientable, nonorientable", [
+    ("cyclic(5)", f"other_with_bounds ({_MT157})", "one"),
+    ("cyclic(7)", f"other_with_bounds ({_MT157})", "not_two (crosscap >= 3)"),
+    ("cyclic(10)", "at_least_three", "not_two (crosscap >= 3)"),
+])
+def test_classify_reason_beside_its_surface(capsys, group, orientable,
+                                            nonorientable):
+    """Each surface's reason follows its own verdict line: MT1.57's is an
+    orientable reason, L5.1's a nonorientable one."""
+    code, out, _ = run(capsys, "classify", group, "--no-timestamp")
+    assert code == 0
+    assert out.splitlines()[1:3] == [f"orientable:    {orientable}",
+                                     f"nonorientable: {nonorientable}"]
 
 
 def test_classify_all_deterministic(capsys):
@@ -259,6 +289,18 @@ def test_catalog_file_label_cycles(tmp_path, capsys, label, chain):
 def test_perm_degree_below_one(capsys, recipe):
     code, out, err = run(capsys, "group-info", recipe, "--no-timestamp")
     assert code == 1 and out == "" and err.startswith("error: permutation degree")
+
+
+@pytest.mark.parametrize("recipe, error", [
+    ("perm(3000000; ())", "error: permutation degree must be in 1..1024"),
+    ("perm(1025; (0 1))", "error: permutation degree must be in 1..1024"),
+    ("perm(7; (0 1 2 3 4 5 6); (0 1))", "error: closure exceeded 1024"),
+    ("semidirect(cyclic(3),cyclic(2),power" + "5" * 5000 + ")",
+     "error: power exponent too long"),
+])
+def test_oversized_recipe_refused(capsys, recipe, error):
+    code, out, err = run(capsys, "group-info", recipe, "--no-timestamp")
+    assert code == 1 and out == "" and err.startswith(error)
 
 
 def test_recipe_nested_too_deep(capsys):

@@ -208,6 +208,28 @@ def test_certificate_parse_errors(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_SIGNED = _TRIANGLE.replace("orientable", "signed") + _TRIANGLE_ROTS
+
+
+@pytest.mark.parametrize("text", [
+    _TRIANGLE + "rot 0: 7 7 7\n" + _TRIANGLE_ROTS + _TRIANGLE_CLAIM,
+    _SIGNED + "signs 1 1 -1\nsigns 1 1 1\n" + _TRIANGLE_CLAIM,
+    _TRIANGLE + _TRIANGLE_ROTS
+    + "claim faces=9 euler_genus=5 nonorientable\n" + _TRIANGLE_CLAIM,
+    _TRIANGLE + _TRIANGLE_ROTS + "claim faces=2\n"
+    + "claim euler_genus=0 orientable\n",
+    _TRIANGLE + _TRIANGLE_ROTS
+    + "claim faces=9 faces=2 euler_genus=0 orientable\n",
+    _TRIANGLE + _TRIANGLE_ROTS
+    + "claim faces=2 euler_genus=0 nonorientable orientable\n",
+], ids=["rot", "signs", "claim", "claim-split", "claim-key", "claim-kind"])
+def test_certificate_repeated_lines(text):
+    """A rotation, signs or claim line, or a claim key, stated twice is a
+    ParseError, even where the last statement is true."""
+    with pytest.raises(ParseError, match="repeated"):
+        em.certificate_from_text(text)
+
+
 def _random_rotation(graph, rnd):
     base = em.rotation_from_adjacency(graph)
     rots = []
@@ -376,7 +398,7 @@ def test_gap_corners_on_mirror_faces(n, signed, rnd):
     graph = _random_connected(n, rnd)
     twist = [rnd.randint(0, 1) if signed else 0 for _ in range(graph.m)]
     nxt, prv = em._next_arrays(_random_rotation(graph, rnd), graph.m)
-    face, _, _, _ = em._trace_states(range(2 * graph.m), nxt, prv, twist)
+    face, _, _ = em._trace_states(range(2 * graph.m), nxt, prv, twist)
     for a in range(2 * graph.m):
         assert face[2 * nxt[a]] != face[2 * a + 1]
 
@@ -396,8 +418,8 @@ class _RetraceChecked(em._Searcher):
 
     def _children(self, i):
         darts = [d for p in self.plan[:i] for d in (2 * p[1], 2 * p[1] + 1)]
-        face, nface, _, _ = em._trace_states(darts, self.nxt, self.prv,
-                                             self.twist)
+        face, nface, _ = em._trace_states(darts, self.nxt, self.prv,
+                                          self.twist)
         states = {2 * d + lvl for d in darts for lvl in (0, 1)}
         pairs = {(self.fid[s], face[s]) for s in states}
         assert len(pairs) == len({f for f, _ in pairs}) == nface
@@ -448,8 +470,8 @@ class _SplitChecked(_RetraceChecked):
     def _check_split(self, i, fid0):
         _, _, _, du, _, dv = self.plan[i - 1]
         darts = [d for p in self.plan[:i] for d in (2 * p[1], 2 * p[1] + 1)]
-        face, _, _, _ = em._trace_states(darts, self.nxt, self.prv,
-                                         self.twist)
+        face, _, _ = em._trace_states(darts, self.nxt, self.prv,
+                                      self.twist)
         a_side = [s for s in face if face[s] == face[2 * du]]
         b_side = [s for s in face if face[s] == face[2 * du + 1]]
         side = int(len(b_side) < len(a_side))

@@ -400,6 +400,27 @@ def test_catalog_block_classes_match_networkx(fresh_cache):
             _assert_isomorphism(entry.graph, copy, phi)
 
 
+def test_carried_traces_match_retrace_on_catalog_blocks(fresh_cache):
+    """Both surfaces of every catalog block, then of a relabelled copy of
+    each: the copy is served from the cache, and its carried embedding
+    re-traces on the copy to the face trace carried unchanged with it."""
+    budget = gn.Budget(max_nodes=800, max_seconds=math.inf)
+    all_blocks = [b for e in cat.entries()
+                  for b in gn.blocks(pg.power_graph(cat.get(e.label)))]
+    assert len(all_blocks) == 310
+    for b in all_blocks:
+        gn.genus_exact(b, budget)
+        gn.crosscap_exact(b, budget)
+    for i, b in enumerate(all_blocks):
+        copy = _relabelled(b, i)
+        for res in (gn.genus_exact(copy, budget),
+                    gn.crosscap_exact(copy, budget)):
+            assert res.path == "cache"
+            uc = res.upper_certificate
+            assert uc["method"] == "embedding"
+            assert em.trace_faces(copy, uc["rotation"]) == uc["trace"]
+
+
 @pytest.mark.parametrize("name", ["K400", "Z2xZ64"])
 def test_large_relabelled_graph_served_from_cache(fresh_cache, name):
     """Large twin-heavy graphs: K400 is one class of 400 closed twins, and

@@ -66,7 +66,7 @@ def test_from_generators_cap():
     big = gr.parse_cycles("(0 1 2 3 4 5 6)", 7)
     swap = gr.parse_cycles("(0 1)", 7)
     with pytest.raises(ClosureCapExceeded):
-        gr.from_generators(7, [big, swap], cap=100)  # S7 has order 5040
+        gr.from_generators(7, [big, swap])  # S7 has order 5040
 
 
 def test_direct_product():
@@ -593,6 +593,43 @@ def test_metacyclic_guard_matches_validation():
 def test_outside_tables_still_validated(table, message):
     with pytest.raises(InvalidParameter, match=message):
         gr.FiniteGroup(table)
+
+
+@pytest.mark.parametrize("table, message", [
+    (np.array([[0, 2**32 + 1], [2**32 + 1, 0]]), "out of range"),
+    ([[0, 2**31], [1, 0]], "out of range"),
+    ([[0, 2**70], [1, 0]], "must be integers"),
+    ([[0.7, 1.2], [1.9, 0.1]], "must be integers"),
+    ([[0.0, 1.0], [1.0, 0.0]], "must be integers"),
+    ([["0", "1"], ["1", "0"]], "must be integers"),
+    ([[True, False], [False, True]], "must be integers"),
+    ([[0, 1], [1]], "must be square"),
+    ([], "must be square"),
+    (np.zeros((0, 0), dtype=np.int64), "must be square"),
+], ids=["int64-wraps", "int32-overflow", "huge", "float", "whole-float",
+        "strings", "bool", "ragged", "empty", "zero-by-zero"])
+def test_outside_table_entries_checked_before_the_cast(table, message):
+    """Entries a cast to int32 would wrap, truncate or overflow, and tables
+    the cast cannot shape, are refused by both entry points."""
+    for build in (gr.FiniteGroup, gr.from_table):
+        with pytest.raises(InvalidParameter, match=message):
+            build(table)
+
+
+def test_from_text_entry_out_of_int32_range():
+    with pytest.raises(InvalidParameter, match="out of range"):
+        gr.from_text("group 2\n0 2147483648\n1 0\n")
+
+
+def test_degree_above_max_order_refused():
+    """Degrees above MAX_ORDER are refused before any degree-length tuple
+    is built; MAX_ORDER itself is accepted."""
+    for call in (lambda: gr.parse_cycles("()", gr.MAX_ORDER + 1),
+                 lambda: gr.from_generators(gr.MAX_ORDER + 1, [])):
+        with pytest.raises(InvalidParameter, match="permutation degree"):
+            call()
+    swap = gr.parse_cycles("(0 1)", gr.MAX_ORDER)
+    assert gr.from_generators(gr.MAX_ORDER, [swap]).order == 2
 
 
 @pytest.mark.parametrize("table, message", [
