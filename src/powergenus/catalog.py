@@ -208,6 +208,7 @@ def _action_map(name: str, n_grp: FiniteGroup) -> tuple[int, ...]:
             k = int(m.group(1))
         except ValueError:  # past Python's limit on digits in int()
             raise ParseError(f"power exponent too long: {name[:20]}...") from None
+        k %= n_grp.order  # x^|N| = e, so the reduced exponent acts alike
         return tuple(n_grp.power(x, k) for x in range(n_grp.order))
     if name == "rot90":
         if n_grp.order != 9:

@@ -174,13 +174,19 @@ def _rule_four_six_pairing(inp: dict) -> tuple[str | None, str]:
 
 
 def _rule_five_six(inp: dict) -> tuple[str | None, str]:
-    return ("at_least_three",
-            f"{inp['six_count']} >= 5 cyclic subgroups of order 6: genus >= 3")
+    c = inp["six_count"]
+    if c < 5:
+        return (_IMPOSSIBLE, f"{c} < 5 cyclic subgroups of order 6: the "
+                "classification reaches this rule only from five on")
+    return ("at_least_three", f"{c} >= 5 cyclic subgroups of order 6: genus >= 3")
 
 
 def _rule_many_six_crosscap(inp: dict) -> tuple[str | None, str]:
-    return ("not_two",
-            f"{inp['six_count']} >= 3 cyclic subgroups of order 6: crosscap > 2")
+    c = inp["six_count"]
+    if c < 3:
+        return (_IMPOSSIBLE, f"{c} < 3 cyclic subgroups of order 6: the "
+                "classification reaches this rule only from three on")
+    return ("not_two", f"{c} >= 3 cyclic subgroups of order 6: crosscap > 2")
 
 
 def _rule_two_eight(inp: dict) -> tuple[str | None, str]:

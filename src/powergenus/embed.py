@@ -24,9 +24,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import Disconnected, InvalidRotation, ParseError
-from .powergraph import Graph
+from .powergraph import Graph, is_edge_order
 
 
 # ---------------------------------------------------------------------------
@@ -67,19 +68,23 @@ def rotation_from_adjacency(graph: Graph) -> RotationSystem:
 def validate_rotation(graph: Graph, rs) -> None:
     if len(rs.rotations) != graph.n:
         raise InvalidRotation("one cyclic order per vertex required")
-    tails = [w for edge in graph.edges for w in edge]  # tail of each dart
+    tails = list(chain.from_iterable(graph.edges))  # tail of each dart
     ndarts = len(tails)
-    seen: set[int] = set()
-    for v, rot in enumerate(rs.rotations):
-        for d in rot:
-            if not 0 <= d < ndarts:
-                raise InvalidRotation(f"dart {d} out of range")
-            if tails[d] != v:
-                raise InvalidRotation(f"dart {d} listed at wrong vertex {v}")
-            if d in seen:
-                raise InvalidRotation(f"dart {d} appears twice")
-            seen.add(d)
-    if len(seen) != ndarts:
+    listed = [d for rot in rs.rotations for d in rot]
+    # checked in bulk; the loop runs only to name the first fault
+    if (sorted(listed) != list(range(ndarts))
+            or list(map(tails.__getitem__, listed))
+            != [v for v, rot in enumerate(rs.rotations) for _ in rot]):
+        seen: set[int] = set()
+        for v, rot in enumerate(rs.rotations):
+            for d in rot:
+                if not 0 <= d < ndarts:
+                    raise InvalidRotation(f"dart {d} out of range")
+                if tails[d] != v:
+                    raise InvalidRotation(f"dart {d} listed at wrong vertex {v}")
+                if d in seen:
+                    raise InvalidRotation(f"dart {d} appears twice")
+                seen.add(d)
         raise InvalidRotation("some dart is missing from the rotation system")
     if rs.is_signed() and len(rs.signs) != graph.m:
         raise InvalidRotation("need one sign per edge")
@@ -115,10 +120,9 @@ def _next_arrays(rotations, m: int):
     nxt = [-1] * (2 * m)
     prv = [-1] * (2 * m)
     for rot in rotations:
-        k = len(rot)
-        for i, d in enumerate(rot):
-            nxt[d] = rot[(i + 1) % k]
-            prv[d] = rot[(i - 1) % k]
+        for d, d2 in zip(rot, rot[1:] + rot[:1]):
+            nxt[d] = d2
+            prv[d2] = d
     return nxt, prv
 
 
@@ -128,23 +132,26 @@ def _trace_states(darts, nxt, prv, twist):
     State ``2*d + level``: about to walk along dart d on the given level.
     Step: cross the edge (flip level on a twisted edge), then take the
     rotation successor (level 0) or predecessor (level 1).
-    Returns (orbit id per state, orbit count, first state per orbit).
+    Returns (orbit id per state, -1 off the given darts; orbit count;
+    first state per orbit).
     """
-    face = {}
+    succ = [-1] * (2 * len(nxt))  # each state's successor, built once
+    for d in darts:
+        e, t = d ^ 1, twist[d >> 1]
+        succ[2 * d + t] = 2 * nxt[e]
+        succ[2 * d + 1 - t] = 2 * prv[e] + 1
+    face = [-1] * len(succ)
     firsts = []
-    for d0 in darts:
-        for lvl0 in (0, 1):
-            s = 2 * d0 + lvl0
-            if s in face:
-                continue
-            nface = len(firsts)
-            firsts.append(s)
-            while s not in face:
-                face[s] = nface
-                d = s >> 1
-                l2 = (s & 1) ^ twist[d >> 1]
-                d3 = nxt[d ^ 1] if l2 == 0 else prv[d ^ 1]
-                s = 2 * d3 + l2
+    for d in darts:
+        for s0 in (2 * d, 2 * d + 1):
+            if face[s0] < 0:
+                nface = len(firsts)
+                firsts.append(s0)
+                face[s0] = nface
+                s = succ[s0]
+                while s != s0:
+                    face[s] = nface
+                    s = succ[s]
     return face, len(firsts), firsts
 
 
@@ -157,7 +164,7 @@ def trace_faces(graph: Graph, rs) -> FaceTrace:
     twist = [int(s != 1) for s in rs.signs] if rs.is_signed() else [0] * graph.m
     # orientable iff the double cover is disconnected, which for a connected
     # base is equivalent to the signed graph being balanced
-    orientable = _connected_and_balanced(graph, twist)
+    orientable = _connected_and_balanced(graph, rs.rotations, twist)
     nxt, prv = _next_arrays(rs.rotations, graph.m)
     face, norbits, firsts = _trace_states(range(2 * graph.m), nxt, prv, twist)
     # the deck transformation pairs each face's two lifts: state (d, i)
@@ -172,25 +179,23 @@ def trace_faces(graph: Graph, rs) -> FaceTrace:
     return FaceTrace(pairs, 2 - (graph.n - graph.m + pairs), orientable)
 
 
-def _connected_and_balanced(graph: Graph, twist) -> bool:
-    """One search from vertex 0: raise Disconnected unless it reaches every
-    vertex, and return whether every cycle has an even number of twisted
-    edges."""
+def _connected_and_balanced(graph: Graph, rotations, twist) -> bool:
+    """One search from vertex 0 along the validated rotation: raise
+    Disconnected unless it reaches every vertex, and return whether every
+    cycle has an even number of twisted edges."""
+    tails = list(chain.from_iterable(graph.edges))  # d's head is tails[d ^ 1]
     color = [-1] * graph.n
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-    for e, (u, v) in enumerate(graph.edges):
-        adj[u].append((v, twist[e]))
-        adj[v].append((u, twist[e]))
     color[0] = 0
     stack = [0]
     balanced = True
     while stack:
         v = stack.pop()
-        for w, t in adj[v]:
+        for d in rotations[v]:
+            w, c = tails[d ^ 1], color[v] ^ twist[d >> 1]
             if color[w] == -1:
-                color[w] = color[v] ^ t
+                color[w] = c
                 stack.append(w)
-            elif color[w] != color[v] ^ t:
+            elif color[w] != c:
                 balanced = False
     if -1 in color:
         raise Disconnected("face tracing requires a connected graph")
@@ -688,11 +693,11 @@ def certificate_to_text(graph: Graph, rs, tr: FaceTrace) -> str:
     """Embedding certificate: edge list, per-vertex dart cycles, signs,
     and the claimed face count / genus; `verify` re-traces it bit-exactly."""
     lines = [f"embedding {graph.n} {graph.m} {'signed' if rs.is_signed() else 'orientable'}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
+    lines += [f"{u} {v}" for u, v in graph.edges]
     for v, rot in enumerate(rs.rotations):
-        lines.append(f"rot {v}: " + " ".join(str(d) for d in rot))
+        lines.append(f"rot {v}: " + " ".join(map(str, rot)))
     if rs.is_signed():
-        lines.append("signs " + " ".join(str(s) for s in rs.signs))
+        lines.append("signs " + " ".join(map(str, rs.signs)))
     kind = "orientable" if tr.orientable else "nonorientable"
     lines.append(f"claim faces={tr.face_count} euler_genus={tr.euler_genus} {kind}")
     return "\n".join(lines) + "\n"
@@ -701,11 +706,14 @@ def certificate_to_text(graph: Graph, rs, tr: FaceTrace) -> str:
 def certificate_from_text(text: str):
     """Parse a certificate file; returns (graph, rotation system, claim dict).
 
-    Every malformed line, a repeated rotation, signs or claim line, a signs
-    line missing from a signed certificate (or present in an orientable
-    one) and a claim that does not state the face count, Euler genus and
-    orientability once each raise ParseError."""
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
+    Every malformed line, edge lines that are not pairs u < v in strictly
+    increasing order (darts are numbered by edge line, so the lines must
+    be in the order the graph keeps), a line whose first word is not
+    exactly ``rot``, ``signs`` or ``claim``, a repeated rotation, signs or
+    claim line, a signs line missing from a signed certificate (or present
+    in an orientable one) and a claim that does not state the face count,
+    Euler genus and orientability once each raise ParseError."""
+    lines = [ln for ln in map(str.rstrip, text.splitlines()) if ln]
     if not lines or not lines[0].startswith("embedding "):
         raise ParseError("expected 'embedding n m kind' header")
     try:
@@ -723,28 +731,32 @@ def certificate_from_text(text: str):
     edges = []
     for ln in lines[1:1 + m]:
         try:
-            u, v = (int(x) for x in ln.split())
+            u, v = ln.split()
+            edges.append((int(u), int(v)))
         except ValueError:
             raise ParseError(f"bad edge line {ln!r}") from None
-        edges.append((u, v))
+    if not is_edge_order(edges):
+        raise ParseError("edge lines must be pairs u < v in strictly "
+                         "increasing order")
     graph = Graph(n, tuple(edges))
     rots: list[tuple[int, ...]] = [()] * n
     signs = None
     claim = {}
     stated = []  # rotation lines' vertices, "signs", "claim", claim keys
     for ln in lines[1 + m:]:
+        word = ln.split(None, 1)[0]
         try:
-            if ln.startswith("rot "):
+            if word == "rot":
                 head, _, rest = ln.partition(":")
                 v = int(head.split()[1])
                 if not 0 <= v < n:
                     raise ParseError(f"rotation for a missing vertex: {ln!r}")
                 stated.append(v)
-                rots[v] = tuple(int(x) for x in rest.split())
-            elif ln.startswith("signs"):
+                rots[v] = tuple(map(int, rest.split()))
+            elif word == "signs":
                 stated.append("signs")
-                signs = tuple(int(x) for x in ln.split()[1:])
-            elif ln.startswith("claim"):
+                signs = tuple(map(int, ln.split()[1:]))
+            elif word == "claim":
                 stated.append("claim")
                 for tok in ln.split()[1:]:
                     k, eq, val = tok.partition("=")

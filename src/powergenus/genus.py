@@ -10,7 +10,8 @@ process: the class's first graph, its planarity decision, and its result
 per surface and budget.  A graph of a class seen before is answered from
 the entry, with the certificates carried through an isomorphism onto it, so
 the second surface of a block and every repeat of a block skip planarity
-and search.  Classes are looked up by a colour-refinement key (n, m and the
+and search; a graph equal to one asked before is answered from what was
+returned for it, with no class lookup.  Classes are looked up by a colour-refinement key (n, m and the
 stable colouring's signatures), and membership is decided by
 individualise-and-refine with backtracking, which pairs classes of twins
 at once and confirms the isomorphism edge by edge.  ``blocks`` is one
@@ -188,7 +189,8 @@ def blocks(graph: Graph) -> list[Graph]:
                     path.append(w)
                     todo.append((w, iter(adj[w])))
                     break
-                low[v] = min(low[v], disc[w])
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
             else:
                 todo.pop()
                 if todo:
@@ -515,19 +517,38 @@ def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
     result the entry holds for this surface and budget is served again
     (path ``"cache"``), else it is computed on the representative and kept.
     The budget is part of the key, so bounds found under one budget are
-    never served to another.  Callers get their own certificate dicts."""
+    never served to another.  What is returned for a graph is remembered in
+    ``_ANSWERS``, so a graph equal to one asked before is answered with no
+    class lookup, for as long as its entry is still in ``_CLASSES``.
+    Callers get their own certificate dicts."""
     budget = budget or Budget()
-    entry, phi = _class_of(graph)
     key = (signed, budget.max_nodes, budget.max_seconds)
+    asked = _ANSWERS.get((graph, key))
+    if asked is not None and any(e is asked[0]
+                                 for e in _CLASSES.get(asked[0].key, ())):
+        return _served(asked[1], "cache")
+    entry, phi = _class_of(graph)
     res = entry.results.get(key)
     path = "cache"
     if res is None:
         res = entry.results[key] = _solve(entry, budget, signed)
         path = res.path
     if phi is not None:
-        return _carry(res, entry.graph, graph, phi, path)
-    return replace(res, lower_certificate=dict(res.lower_certificate),
-                   upper_certificate=dict(res.upper_certificate), path=path)
+        res = _carry(res, entry.graph, graph, phi)
+    _ANSWERS[graph, key] = entry, res
+    return _served(res, path)
+
+
+#: What ``_exact`` returned, by (graph, (signed, max_nodes, max_seconds)):
+#: the graph's class entry and the result, certificates carried onto graph.
+_ANSWERS: dict[tuple, tuple[_Class, GenusResult]] = {}
+
+
+def _served(res: GenusResult, path: str) -> GenusResult:
+    """res with its own certificate dicts, under path."""
+    return GenusResult(res.kind, res.lower, res.upper,
+                       dict(res.lower_certificate), dict(res.upper_certificate),
+                       path)
 
 
 def _solve(entry: _Class, budget: Budget, signed: bool) -> GenusResult:
@@ -579,8 +600,8 @@ def _solve(entry: _Class, budget: Budget, signed: bool) -> GenusResult:
                        lower_cert, _embedding_certificate(rs, tr), "search")
 
 
-def _carry(res: GenusResult, rep: Graph, graph: Graph, phi: list[int],
-           path: str) -> GenusResult:
+def _carry(res: GenusResult, rep: Graph, graph: Graph,
+           phi: list[int]) -> GenusResult:
     """res, proved for rep, as a result for graph, along the isomorphism
     phi from rep onto graph.
 
@@ -624,7 +645,7 @@ def _carry(res: GenusResult, rep: Graph, graph: Graph, phi: list[int],
         return cert
 
     return replace(res, lower_certificate=carry(res.lower_certificate),
-                   upper_certificate=carry(res.upper_certificate), path=path)
+                   upper_certificate=carry(res.upper_certificate))
 
 
 def _joined_without_edge(adj: list[set[int]], u: int, v: int) -> bool:

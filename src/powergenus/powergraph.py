@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import starmap
 
 import networkx as nx
 import numpy as np
@@ -29,8 +30,7 @@ class Graph:
     def __post_init__(self):
         edges = tuple(map(tuple, self.edges))
         # power_graph and induced pass sorted (u < v) pairs: kept as given
-        if not (all(u < v for u, v in edges)
-                and all(map(operator.lt, edges, edges[1:]))):
+        if not is_edge_order(edges):
             if any(u == v for u, v in edges):
                 raise InvalidVertex("loops are not allowed")
             edges = tuple(sorted({(min(u, v), max(u, v)) for u, v in edges}))
@@ -38,7 +38,7 @@ class Graph:
             raise InvalidVertex("edge endpoint out of range")
         object.__setattr__(self, "edges", edges)
         if not self.labels:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(self.n)))
+            object.__setattr__(self, "labels", tuple(map(str, range(self.n))))
         elif len(self.labels) != self.n:
             raise InvalidVertex("label count does not match vertex count")
         elif len(set(self.labels)) != self.n:
@@ -66,6 +66,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def is_edge_order(edges) -> bool:
+    """Whether edges are pairs u < v in strictly increasing order, the
+    order a ``Graph`` keeps its edges in."""
+    return (all(starmap(operator.lt, edges))
+            and all(map(operator.lt, edges, edges[1:])))
 
 
 def complete_graph(n: int) -> Graph:

@@ -277,3 +277,23 @@ def test_replay_checks_premises():
     for step in tampered:
         assert not cls.replay_trail([step])
         assert "rule gives no bound" in cls.replay_step(step)
+
+
+def test_replay_checks_six_count_premises():
+    """L4.5 and L5.2 test their own premise, five and three cyclic
+    subgroups of order 6: a step with a smaller count does not replay to
+    the rule's conclusion, and the rule names the failed premise."""
+    tampered = [
+        cls.CertificateStep(
+            "L4.5", {"six_count": 4, "pairwise_intersections": (2,) * 6},
+            "4 >= 5 cyclic subgroups of order 6: genus >= 3"),
+        cls.CertificateStep(
+            "L5.2", {"six_count": 2, "pairwise_intersections": (3,)},
+            "2 >= 3 cyclic subgroups of order 6: crosscap > 2"),
+    ]
+    for step, premise in zip(tampered, ("4 < 5", "2 < 3")):
+        assert not cls.replay_trail([step])
+        assert cls.replay_step(step).startswith(premise)
+        assert cls._RULES[step.rule_id](step.inputs)[0] == cls._IMPOSSIBLE
+    for rule_id, count in (("L4.5", 5), ("L5.2", 3)):
+        assert cls._RULES[rule_id]({"six_count": count})[0] is not None

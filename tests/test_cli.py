@@ -2,11 +2,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import powergenus.cli as cli
+import powergenus.embed as em
 import powergenus.powergraph as pg
 
 from conftest import k33_with_path
@@ -94,6 +96,33 @@ def test_verify_refuses_repeated_lines(tmp_path, capsys):
                     "claim faces=2 euler_genus=0 orientable\n")
     code, out, err = run(capsys, "verify", str(cert), "--no-timestamp")
     assert code == 1 and out == "" and "repeated" in err
+
+
+@pytest.mark.parametrize("edit", ["reversed", "swapped-ends", "duplicate"])
+def test_verify_refuses_edge_lines_out_of_order(tmp_path, capsys, edit):
+    """Darts are numbered by edge line, so a certificate whose edge lines
+    are not pairs u < v in strictly increasing order would state another
+    rotation system than the one traced.  K4's six edge lines reversed
+    (which verified before this check), one line written "1 0", and one
+    line repeated are refused."""
+    k4 = pg.complete_graph(4)
+    rs = em.rotation_from_adjacency(k4)
+    lines = em.certificate_to_text(k4, rs, em.trace_faces(k4, rs)).splitlines()
+    edges = lines[1:7]
+    assert edges == ["0 1", "0 2", "0 3", "1 2", "1 3", "2 3"]
+    cert = tmp_path / "k4.cert"
+    cert.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "verify", str(cert), "--no-timestamp")[0] == 0
+    if edit == "reversed":
+        edges = edges[::-1]
+    elif edit == "swapped-ends":
+        edges[0] = "1 0"
+    else:
+        edges[1] = edges[0]
+    cert.write_text("\n".join([lines[0], *edges, *lines[7:]]) + "\n")
+    code, out, err = run(capsys, "verify", str(cert), "--no-timestamp")
+    assert code == 1 and out == ""
+    assert err.startswith("error: edge lines must be pairs u < v")
 
 
 @pytest.mark.parametrize("flag", [("--budget-nodes", "5"),
@@ -301,6 +330,17 @@ def test_perm_degree_below_one(capsys, recipe):
 def test_oversized_recipe_refused(capsys, recipe, error):
     code, out, err = run(capsys, "group-info", recipe, "--no-timestamp")
     assert code == 1 and out == "" and err.startswith(error)
+
+
+def test_semidirect_power_exponent_reduced(capsys):
+    """A power<k> action raises each element of N to k mod |N|, which
+    acts alike since x^|N| = e; a 2,000-digit exponent costs nothing."""
+    recipe = "semidirect(cyclic(1000),cyclic(2),power" + "7" * 2000 + ")"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "group-info", recipe, "--no-timestamp")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "generator automorphism order does not divide |H|" in err
 
 
 def test_recipe_nested_too_deep(capsys):

@@ -230,6 +230,19 @@ def test_certificate_repeated_lines(text):
         em.certificate_from_text(text)
 
 
+@pytest.mark.parametrize("text", [
+    _SIGNED + "signs-1 1 1 1\n" + _TRIANGLE_CLAIM,
+    _TRIANGLE + _TRIANGLE_ROTS + "claimxyz faces=2 euler_genus=0 orientable\n",
+], ids=["signs", "claim"])
+def test_certificate_keywords_match_exactly(text):
+    """A keyword glued to its first value is no keyword: the first word of
+    a line must be exactly rot, signs or claim."""
+    assert em.verify_certificate(
+        text.replace("signs-1", "signs").replace("claimxyz", "claim"))[0]
+    with pytest.raises(ParseError, match="unexpected certificate line"):
+        em.certificate_from_text(text)
+
+
 def _random_rotation(graph, rnd):
     base = em.rotation_from_adjacency(graph)
     rots = []
@@ -323,6 +336,72 @@ def _random_connected(n, rnd):
     edges |= {(u, v) for u in range(n) for v in range(u + 1, n)
               if rnd.random() < 0.5}
     return pg.Graph(n, tuple(sorted(edges)))
+
+
+def _dict_trace_states(darts, nxt, prv, twist):
+    """The dict-based orbit decomposition of the double-cover face
+    permutation that the list-based ``_trace_states`` replaced, kept as
+    its reference: (orbit id per state, orbit count, first state per
+    orbit)."""
+    face = {}
+    firsts = []
+    for d0 in darts:
+        for lvl0 in (0, 1):
+            s = 2 * d0 + lvl0
+            if s in face:
+                continue
+            nface = len(firsts)
+            firsts.append(s)
+            while s not in face:
+                face[s] = nface
+                d = s >> 1
+                l2 = (s & 1) ^ twist[d >> 1]
+                d3 = nxt[d ^ 1] if l2 == 0 else prv[d ^ 1]
+                s = 2 * d3 + l2
+    return face, len(firsts), firsts
+
+
+def _adjacency_balanced(graph, twist):
+    """Whether every cycle has an even number of twisted edges, by a 2-colouring
+    over an adjacency list built from the edge list."""
+    adj = [[] for _ in range(graph.n)]
+    for e, (u, v) in enumerate(graph.edges):
+        adj[u].append((v, twist[e]))
+        adj[v].append((u, twist[e]))
+    color = [-1] * graph.n
+    color[0] = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w, t in adj[v]:
+            if color[w] == -1:
+                color[w] = color[v] ^ t
+                stack.append(w)
+            elif color[w] != color[v] ^ t:
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 9), st.randoms(use_true_random=False))
+def test_list_trace_matches_dict_trace(n, rnd):
+    """On random connected graphs with random signed rotations, the list
+    trace gives the dict trace's orbits, ids and first states, and
+    trace_faces the face count, Euler genus and orientability they give."""
+    graph = _random_connected(n, rnd)
+    rots = _random_rotation(graph, rnd)
+    twist = [rnd.randint(0, 1) for _ in range(graph.m)]
+    nxt, prv = em._next_arrays(rots, graph.m)
+    darts = range(2 * graph.m)
+    face, norbits, firsts = em._trace_states(darts, nxt, prv, twist)
+    ref, ref_norbits, ref_firsts = _dict_trace_states(darts, nxt, prv, twist)
+    assert (norbits, firsts) == (ref_norbits, ref_firsts)
+    assert face == [ref[s] for s in range(4 * graph.m)]
+    tr = em.trace_faces(graph, em.RotationSystem(
+        rots, tuple(-1 if t else 1 for t in twist)))
+    assert tr.face_count == ref_norbits // 2
+    assert tr.euler_genus == 2 - (graph.n - graph.m + ref_norbits // 2)
+    assert tr.orientable == _adjacency_balanced(graph, twist)
 
 
 def test_search_trees_pinned():
@@ -472,8 +551,8 @@ class _SplitChecked(_RetraceChecked):
         darts = [d for p in self.plan[:i] for d in (2 * p[1], 2 * p[1] + 1)]
         face, _, _ = em._trace_states(darts, self.nxt, self.prv,
                                       self.twist)
-        a_side = [s for s in face if face[s] == face[2 * du]]
-        b_side = [s for s in face if face[s] == face[2 * du + 1]]
+        a_side = [s for s, f in enumerate(face) if f == face[2 * du]]
+        b_side = [s for s, f in enumerate(face) if f == face[2 * du + 1]]
         side = int(len(b_side) < len(a_side))
         short = (a_side, b_side)[side]
         relabelled = set(short) | {_tau(s, self.twist) for s in short}

@@ -487,6 +487,36 @@ def test_cache_keys_on_budget(fresh_cache):
     assert (again, again.path) == (small, "cache")
 
 
+def test_graph_asked_again_answered_from_memo(monkeypatch, fresh_cache):
+    """A block and a relabelled copy, both surfaces each.  An equal new
+    Graph of either is answered from what ``_exact`` returned for it: path
+    "cache", no ``_refine``, ``_isomorphism`` or ``_carry`` call, the same
+    kind and bounds, its own certificate dicts, and upper certificates
+    that re-trace on the graph asked.  Emptying the class cache forgets
+    those answers."""
+    block = _dic3_block()
+    asked = {}
+    for graph in (block, _relabelled(block, 3)):
+        for fn in (gn.genus_exact, gn.crosscap_exact):
+            asked[graph, fn] = fn(graph)
+    lookups = [_counting(monkeypatch, name)
+               for name in ("_refine", "_isomorphism", "_carry")]
+    for (graph, fn), res in asked.items():
+        again = pg.Graph(graph.n, graph.edges, graph.labels)
+        hit = fn(again)
+        assert hit.path == "cache"
+        assert (hit.kind, hit.lower, hit.upper) \
+            == (res.kind, res.lower, res.upper)
+        uc = hit.upper_certificate
+        assert uc is not res.upper_certificate
+        assert hit.lower_certificate is not res.lower_certificate
+        assert em.trace_faces(again, uc["rotation"]) == uc["trace"]
+    assert lookups == [[], [], []]
+    monkeypatch.setattr(gn, "_CLASSES", {})
+    hit = gn.genus_exact(pg.Graph(block.n, block.edges, block.labels))
+    assert hit.path == "search" and lookups[0]
+
+
 def test_genus_exact_small():
     assert gn.genus_exact(pg.complete_graph(4)).value == 0
     assert gn.genus_exact(pg.complete_graph(5)).value == 1
