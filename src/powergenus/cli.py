@@ -59,6 +59,15 @@ def _entries(args):
     return cat.entries()
 
 
+def _catalog_groups(args):
+    """The active catalog's groups by order, then label; the built-in ones
+    come from ``catalog.get``, as the classifier's catalog matches do, so
+    each is built once."""
+    ents = _entries(args)
+    return (cat.build(e, ents) if args.catalog else cat.get(e.label)
+            for e in sorted(ents, key=lambda e: (e.expected_order, e.label)))
+
+
 def _build_group(args, expr: str) -> FiniteGroup:
     """A group by label or recipe; labels, nested ones included, resolve
     against the active catalog."""
@@ -154,13 +163,9 @@ def _verdict_lines(args, label: str, g: FiniteGroup, v) -> list[str]:
 
 def cmd_classify(args) -> int:
     if args.all_catalog:
-        ents = _entries(args)
-        results = []
-        for ent in sorted(ents, key=lambda e: (e.expected_order, e.label)):
-            g = cat.build(ent, ents)
-            results.append((g, cls.classify(g)))
         lines = []
-        for g, v in results:
+        for g in _catalog_groups(args):
+            v = cls.classify(g)
             if args.format == "records":
                 lines.append(cls.verdict_record(g.label, g, v))
             else:
@@ -189,15 +194,13 @@ def cmd_report(args) -> int:
         return EXIT_OK if r.passed else EXIT_ERROR
 
     rows = []
-    ents = _entries(args)
-    for ent in sorted(ents, key=lambda e: (e.expected_order, e.label)):
-        g = cat.build(ent, ents)
+    for g in _catalog_groups(args):
         spectrum = str(order_spectrum(g))
         if args.target == "table1":
             if cls.classify_orientable(g).orientable == "two":
-                rows.append(f"{ent.label:10s} {g.order:3d}  {spectrum}")
+                rows.append(f"{g.label:10s} {g.order:3d}  {spectrum}")
         elif cls.satisfies_table2(g):  # table2: the three-subgroup condition
-            rows.append(f"{ent.label:10s} {g.order:3d}  {spectrum:14s} "
+            rows.append(f"{g.label:10s} {g.order:3d}  {spectrum:14s} "
                         "six=3 pairwise3=yes")
     _emit(args, rows)
     return EXIT_OK

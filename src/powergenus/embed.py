@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from itertools import chain
 
 from .errors import Disconnected, InvalidRotation, ParseError
@@ -689,6 +689,11 @@ def search_embedding(graph: Graph, target_euler_genus: int, *, signed: bool,
 # certificate files
 # ---------------------------------------------------------------------------
 
+def _claim_words(tr: FaceTrace) -> str:
+    kind = "orientable" if tr.orientable else "nonorientable"
+    return f"faces={tr.face_count} euler_genus={tr.euler_genus} {kind}"
+
+
 def certificate_to_text(graph: Graph, rs, tr: FaceTrace) -> str:
     """Embedding certificate: edge list, per-vertex dart cycles, signs,
     and the claimed face count / genus; `verify` re-traces it bit-exactly."""
@@ -698,98 +703,79 @@ def certificate_to_text(graph: Graph, rs, tr: FaceTrace) -> str:
         lines.append(f"rot {v}: " + " ".join(map(str, rot)))
     if rs.is_signed():
         lines.append("signs " + " ".join(map(str, rs.signs)))
-    kind = "orientable" if tr.orientable else "nonorientable"
-    lines.append(f"claim faces={tr.face_count} euler_genus={tr.euler_genus} {kind}")
+    lines.append("claim " + _claim_words(tr))
     return "\n".join(lines) + "\n"
 
 
 def certificate_from_text(text: str):
-    """Parse a certificate file; returns (graph, rotation system, claim dict).
+    """Parse a certificate in the layout ``certificate_to_text`` writes;
+    returns (graph, rotation system, claimed FaceTrace).
 
-    Every malformed line, edge lines that are not pairs u < v in strictly
-    increasing order (darts are numbered by edge line, so the lines must
-    be in the order the graph keeps), a line whose first word is not
-    exactly ``rot``, ``signs`` or ``claim``, a repeated rotation, signs or
-    claim line, a signs line missing from a signed certificate (or present
-    in an orientable one) and a claim that does not state the face count,
-    Euler genus and orientability once each raise ParseError."""
+    Blank lines and spacing are ignored.  After the header come m edge
+    lines, pairs u < v in strictly increasing order (darts are numbered by
+    edge line), ``rot v:`` for v = 0 .. n-1, a ``signs`` line exactly when
+    the kind is signed, and the claim line last.  The line count is checked
+    against the header before anything is allocated per vertex; then a
+    line that is not what its position holds raises ParseError, numbered
+    among the non-blank lines from 1."""
     lines = [ln for ln in map(str.rstrip, text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("embedding "):
-        raise ParseError("expected 'embedding n m kind' header")
     try:
-        _, n_s, m_s, kind = lines[0].split()
+        word, n_s, m_s, kind = lines[0].split()
         n, m = int(n_s), int(m_s)
-    except ValueError:
-        raise ParseError("bad embedding header") from None
-    if kind not in ("signed", "orientable"):
-        raise ParseError(f"unknown embedding kind {kind!r}")
-    # a traceable graph is connected with an edge, so n <= m + 1; checked
-    # before anything is allocated per vertex or edge
-    if not 0 <= m <= len(lines) - 1 or not 0 <= n <= m + 1:
-        raise ParseError(f"header claims {n} vertices and {m} edges but "
-                         f"{len(lines) - 1} lines follow")
-    edges = []
-    for ln in lines[1:1 + m]:
-        try:
-            u, v = ln.split()
+        if word != "embedding" or kind not in ("signed", "orientable"):
+            raise ValueError
+    except (IndexError, ValueError):
+        raise ParseError("expected header 'embedding n m orientable' or "
+                         "'embedding n m signed'") from None
+    signed = kind == "signed"
+    if n < 0 or m < 0 or len(lines) != 2 + m + n + signed:
+        raise ParseError(f"header {lines[0]!r} needs {2 + m + n + signed} "
+                         f"lines, not {len(lines)}: a line is missing or "
+                         "repeated")
+    k = 1  # the line being read, counted from 1
+    try:
+        edges = []
+        for k in range(2, 2 + m):
+            u, v = lines[k - 1].split()
             edges.append((int(u), int(v)))
-        except ValueError:
-            raise ParseError(f"bad edge line {ln!r}") from None
-    if not is_edge_order(edges):
-        raise ParseError("edge lines must be pairs u < v in strictly "
-                         "increasing order")
-    graph = Graph(n, tuple(edges))
-    rots: list[tuple[int, ...]] = [()] * n
-    signs = None
-    claim = {}
-    stated = []  # rotation lines' vertices, "signs", "claim", claim keys
-    for ln in lines[1 + m:]:
-        word = ln.split(None, 1)[0]
-        try:
-            if word == "rot":
-                head, _, rest = ln.partition(":")
-                v = int(head.split()[1])
-                if not 0 <= v < n:
-                    raise ParseError(f"rotation for a missing vertex: {ln!r}")
-                stated.append(v)
-                rots[v] = tuple(map(int, rest.split()))
-            elif word == "signs":
-                stated.append("signs")
-                signs = tuple(map(int, ln.split()[1:]))
-            elif word == "claim":
-                stated.append("claim")
-                for tok in ln.split()[1:]:
-                    k, eq, val = tok.partition("=")
-                    if eq and k in ("faces", "euler_genus"):
-                        claim[k] = int(val)
-                    elif tok in ("orientable", "nonorientable"):
-                        k = "orientable"
-                        claim[k] = tok == "orientable"
-                    else:
-                        raise ParseError(f"unknown claim {tok!r}")
-                    stated.append(k)
-            else:
-                raise ParseError(f"unexpected certificate line {ln!r}")
-        except (IndexError, ValueError):
-            raise ParseError(f"bad certificate line {ln!r}") from None
-    if len(set(stated)) != len(stated):
-        raise ParseError("a rotation, signs or claim line, or a claim, is repeated")
-    if (signs is not None) != (kind == "signed"):
-        raise ParseError(f"{kind} certificate with"
-                         f"{'out' if signs is None else ''} a signs line")
-    if len(claim) != 3:
-        raise ParseError("the claim must state faces, euler_genus and "
-                         "orientable or nonorientable")
-    return graph, RotationSystem(tuple(rots), signs), claim
+        if not is_edge_order(edges):
+            raise ParseError("edge lines must be pairs u < v in strictly "
+                             "increasing order")
+        rots = []
+        for v in range(n):
+            k = 2 + m + v
+            head, colon, rest = lines[k - 1].partition(":")
+            if not colon or head.split() != ["rot", str(v)]:
+                raise ValueError
+            rots.append(tuple(map(int, rest.split())))
+        signs = None
+        if signed:
+            k = 2 + m + n
+            word, *vals = lines[k - 1].split()
+            if word != "signs":
+                raise ValueError
+            signs = tuple(map(int, vals))
+        k = len(lines)
+        word, faces, euler, orient = lines[-1].split()
+        faces_key, _, faces = faces.partition("=")
+        euler_key, _, euler = euler.partition("=")
+        if ((word, faces_key, euler_key) != ("claim", "faces", "euler_genus")
+                or orient not in ("orientable", "nonorientable")):
+            raise ValueError
+        claim = FaceTrace(int(faces), int(euler), orient == "orientable")
+    except ValueError:
+        raise ParseError(f"unexpected certificate line {k}: "
+                         f"{lines[k - 1]!r}") from None
+    return Graph(n, tuple(edges)), RotationSystem(tuple(rots), signs), claim
 
 
 def verify_certificate(text: str) -> tuple[bool, str]:
     """Re-trace a certificate and check its claim; returns (ok, message)."""
     graph, rs, claim = certificate_from_text(text)
     tr = trace_faces(graph, rs)
-    for key, got in (("faces", tr.face_count), ("euler_genus", tr.euler_genus),
-                     ("orientable", tr.orientable)):
-        if claim[key] != got:
-            return False, f"claim mismatch: {key} claimed {claim[key]}, traced {got}"
-    return True, (f"verified: faces={tr.face_count} euler_genus={tr.euler_genus} "
-                  f"{'orientable' if tr.orientable else 'nonorientable'}")
+    if claim != tr:  # name the first field that differs
+        key, said, got = next(d for d in zip(
+            ("faces", "euler_genus", "orientable"), astuple(claim), astuple(tr))
+            if d[1] != d[2])
+        return False, f"claim mismatch: {key} claimed {said}, traced {got}"
+    return True, "verified: " + _claim_words(tr)

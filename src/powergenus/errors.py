@@ -55,10 +55,6 @@ class InvalidVertex(PowerGenusError):
     pass
 
 
-class NoOrderSixSubgroup(PowerGenusError):
-    pass
-
-
 class Disconnected(PowerGenusError):
     pass
 

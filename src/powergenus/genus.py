@@ -107,41 +107,6 @@ def girth(graph: Graph):
     return best
 
 
-def clique_number(graph: Graph) -> int:
-    """Maximum clique size, by branch and bound with a greedy coloring
-    bound (Tomita-style)."""
-    if graph.n == 0:
-        return 0
-    adj = graph.adjacency()
-    best = 1
-
-    def expand(clique_size: int, cand: list[int]):
-        nonlocal best
-        while cand:
-            # greedy coloring of the candidates: color count bounds the
-            # largest clique inside them
-            color: dict[int, int] = {}
-            order: list[int] = []
-            for v in cand:
-                used = {color[w] for w in adj[v] if w in color}
-                c = 0
-                while c in used:
-                    c += 1
-                color[v] = c
-                order.append(v)
-            order.sort(key=lambda v: color[v])
-            v = order[-1]
-            if clique_size + color[v] + 1 <= best:
-                return
-            cand = [w for w in cand if w != v]
-            if clique_size + 1 > best:
-                best = clique_size + 1
-            expand(clique_size + 1, [w for w in cand if w in adj[v]])
-
-    expand(0, list(range(graph.n)))
-    return best
-
-
 def euler_lower_bound(graph: Graph, surface: str = "orientable") -> int:
     """Smallest genus consistent with V - E + f = 2 - 2g (resp. 2 - k) and
     the face bound f <= floor(2E / girth).  Forests give 0."""

@@ -9,8 +9,8 @@ from itertools import starmap
 import networkx as nx
 import numpy as np
 
-from .errors import InvalidVertex, NoOrderSixSubgroup, ParseError
-from .groups import FiniteGroup, cyclic_subgroups_of_order
+from .errors import InvalidVertex, ParseError
+from .groups import FiniteGroup
 
 
 @dataclass(frozen=True)
@@ -114,15 +114,6 @@ def induced(graph: Graph, vertices) -> Graph:
     return Graph(len(verts), edges, labels)
 
 
-def hexagon_union_graph(g: FiniteGroup) -> Graph:
-    """Induced subgraph of the power graph on the union of all cyclic
-    subgroups of order 6."""
-    subs = cyclic_subgroups_of_order(g, 6)
-    if not subs:
-        raise NoOrderSixSubgroup("group has no cyclic subgroup of order 6")
-    return induced(power_graph(g), frozenset().union(*subs))
-
-
 # ---------------------------------------------------------------------------
 # export / import
 # ---------------------------------------------------------------------------
@@ -156,7 +147,12 @@ def from_edge_list(text: str) -> Graph:
         except ValueError:
             raise ParseError(f"bad edge line: {ln!r}") from None
         edges.append((u, v))
-    return Graph(n, tuple(edges))
+    # "1 0" stands for "0 1", but one edge written both ways is one edge
+    graph = Graph(n, tuple(edges))
+    if graph.m != m:
+        raise ParseError(f"header claims {m} edges but the lines name "
+                         f"{graph.m} distinct ones")
+    return graph
 
 
 def to_dot(graph: Graph, name: str = "G") -> str:

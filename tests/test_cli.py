@@ -4,9 +4,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import powergenus.catalog as cat
 import powergenus.cli as cli
 import powergenus.embed as em
 import powergenus.powergraph as pg
@@ -125,6 +127,31 @@ def test_verify_refuses_edge_lines_out_of_order(tmp_path, capsys, edit):
     assert err.startswith("error: edge lines must be pairs u < v")
 
 
+@pytest.mark.parametrize("old, new", [
+    ("rot 0:", "rot 0 7:"),
+    ("rot 0: 0 2\nrot 1: 1 4\n", "rot 1: 1 4\nrot 0: 0 2\n"),
+    ("faces=2 euler_genus=0 orientable", "euler_genus=0 orientable faces=2"),
+], ids=["rot-extra-word", "rot-lines-swapped", "claim-reordered"])
+def test_verify_refuses_lines_out_of_layout(tmp_path, capsys, old, new):
+    """A certificate is read in the layout certificate_to_text writes, each
+    line at its place: a rotation line naming a second vertex, the
+    rotations of vertices 0 and 1 swapped and the claim's words reordered
+    are refused, though each states a true embedding."""
+    k3 = pg.complete_graph(3)
+    rs = em.rotation_from_adjacency(k3)
+    text = em.certificate_to_text(k3, rs, em.trace_faces(k3, rs))
+    assert text == ("embedding 3 3 orientable\n0 1\n0 2\n1 2\n"
+                    "rot 0: 0 2\nrot 1: 1 4\nrot 2: 3 5\n"
+                    "claim faces=2 euler_genus=0 orientable\n")
+    cert = tmp_path / "triangle.cert"
+    cert.write_text(text)
+    assert run(capsys, "verify", str(cert), "--no-timestamp")[0] == 0
+    cert.write_text(text.replace(old, new))
+    code, out, err = run(capsys, "verify", str(cert), "--no-timestamp")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unexpected certificate line ")
+
+
 @pytest.mark.parametrize("flag", [("--budget-nodes", "5"),
                                   ("--format", "records"), ("--catalog", "x")])
 def test_verify_refuses_flags_it_does_not_read(tmp_path, capsys, flag):
@@ -182,6 +209,18 @@ def test_genus_header_beyond_edges(tmp_path, capsys):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ["3 2\n0 1\n1 0\n",
+                                  "3 3\n0 1\n1 2\n2 1\n"],
+                         ids=["one-edge-twice", "last-edge-twice"])
+def test_genus_refuses_edge_written_both_ways(tmp_path, capsys, text):
+    """"1 0" stands for "0 1", so these files name fewer distinct edges than
+    their headers claim."""
+    edge_file = tmp_path / "twice.edges"
+    edge_file.write_text(text)
+    code, out, err = run(capsys, "genus", str(edge_file), "--no-timestamp")
+    assert code == 1 and out == "" and err.startswith("error: header claims")
+
+
 def test_classify_single(capsys):
     code, out, _ = run(capsys, "classify", "[24,8]", "--no-timestamp")
     assert code == 0
@@ -214,6 +253,15 @@ def test_classify_all_deterministic(capsys):
     assert code == 0 and len(out1.splitlines()) == 56
     code, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+def test_classify_all_builds_each_group_once(capsys):
+    """The CLI loop and the classifier's catalog matches share
+    ``catalog.get``: a cold run builds each of the 56 groups once."""
+    cat.get.cache_clear()
+    with mock.patch.object(cat, "_checked", wraps=cat._checked) as checked:
+        assert run(capsys, "classify", "--all-catalog", "--no-timestamp")[0] == 0
+    assert checked.call_count == len(cat.entries()) == 56
 
 
 #: sha256 of the stdout of these commands: every verdict, value and trail

@@ -211,22 +211,27 @@ def test_certificate_parse_errors(text, tmp_path, capsys):
 _SIGNED = _TRIANGLE.replace("orientable", "signed") + _TRIANGLE_ROTS
 
 
-@pytest.mark.parametrize("text", [
-    _TRIANGLE + "rot 0: 7 7 7\n" + _TRIANGLE_ROTS + _TRIANGLE_CLAIM,
-    _SIGNED + "signs 1 1 -1\nsigns 1 1 1\n" + _TRIANGLE_CLAIM,
-    _TRIANGLE + _TRIANGLE_ROTS
-    + "claim faces=9 euler_genus=5 nonorientable\n" + _TRIANGLE_CLAIM,
-    _TRIANGLE + _TRIANGLE_ROTS + "claim faces=2\n"
-    + "claim euler_genus=0 orientable\n",
-    _TRIANGLE + _TRIANGLE_ROTS
-    + "claim faces=9 faces=2 euler_genus=0 orientable\n",
-    _TRIANGLE + _TRIANGLE_ROTS
-    + "claim faces=2 euler_genus=0 nonorientable orientable\n",
+@pytest.mark.parametrize("text, match", [
+    (_TRIANGLE + "rot 0: 7 7 7\n" + _TRIANGLE_ROTS + _TRIANGLE_CLAIM,
+     "repeated"),
+    (_SIGNED + "signs 1 1 -1\nsigns 1 1 1\n" + _TRIANGLE_CLAIM, "repeated"),
+    (_TRIANGLE + _TRIANGLE_ROTS
+     + "claim faces=9 euler_genus=5 nonorientable\n" + _TRIANGLE_CLAIM,
+     "repeated"),
+    (_TRIANGLE + _TRIANGLE_ROTS + "claim faces=2\n"
+     + "claim euler_genus=0 orientable\n", "repeated"),
+    (_TRIANGLE + _TRIANGLE_ROTS
+     + "claim faces=9 faces=2 euler_genus=0 orientable\n",
+     "unexpected certificate line 8"),
+    (_TRIANGLE + _TRIANGLE_ROTS
+     + "claim faces=2 euler_genus=0 nonorientable orientable\n",
+     "unexpected certificate line 8"),
 ], ids=["rot", "signs", "claim", "claim-split", "claim-key", "claim-kind"])
-def test_certificate_repeated_lines(text):
+def test_certificate_repeated_lines(text, match):
     """A rotation, signs or claim line, or a claim key, stated twice is a
-    ParseError, even where the last statement is true."""
-    with pytest.raises(ParseError, match="repeated"):
+    ParseError, even where the last statement is true: a repeated line
+    breaks the line count, a repeated key the claim line's layout."""
+    with pytest.raises(ParseError, match=match):
         em.certificate_from_text(text)
 
 

@@ -59,15 +59,6 @@ def test_girth_matches_networkx_off_triangles():
         assert gn.girth(graph) == _nx_girth(graph), graph
 
 
-def test_clique_number():
-    assert gn.clique_number(pg.complete_graph(6)) == 6
-    g = pg.power_graph(gr.cyclic(12))
-    ours = gn.clique_number(g)
-    # independent oracle: networkx exhaustive clique enumeration
-    best = max(len(c) for c in nx.find_cliques(g.to_networkx()))
-    assert ours == best == 9  # chain 1 | 3 | 6 | 12: 1+2+2+4 elements
-
-
 def test_euler_lower_bound():
     k7 = pg.complete_graph(7)
     assert gn.euler_lower_bound(k7, "orientable") == 1

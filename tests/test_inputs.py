@@ -88,6 +88,53 @@ def _certificate_texts():
                      st.sampled_from(["orientable", "signed"])).flatmap(body)
 
 
+@st.composite
+def _layout_certificate_texts(draw):
+    """The layout ``certificate_to_text`` writes: a header, m edge lines in
+    order, ``rot v:`` for v = 0 .. n-1, a signs line exactly when signed,
+    and the claim.  One number or word in 4 to 256 is fuzzed, and the
+    rotations are often true ones, so the checks of each line, the
+    re-trace and the claim comparison are all reached."""
+    rate = 1 / draw(st.sampled_from([4, 16, 64, 256]))
+    rnd = draw(st.randoms(use_true_random=True))
+
+    def fuzz(text, wrong):
+        return draw(wrong) if rnd.random() < rate else text
+
+    def word(w):
+        return fuzz(w, st.sampled_from(["", "x", w + "-1", w + ":", "0"]))
+
+    def num(x, small):
+        return fuzz(str(x), _numbers(small))
+
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["orientable", "signed"]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                 unique=True)))
+    m = len(edges)
+    darts = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        darts[u].append(2 * e)
+        darts[v].append(2 * e + 1)
+    lines = [f"{word('embedding')} {num(n, 5)} {num(m, 6)} {word(kind)}"]
+    lines += [f"{num(u, n)} {num(v, n)}" for u, v in edges]
+    for v in range(n):
+        rot = draw(st.one_of(st.permutations(darts[v]),
+                             st.lists(st.integers(0, 2 * m), max_size=4)))
+        lines.append(f"{word('rot')} {num(v, n)}{word(':')} "
+                     + " ".join(num(d, 2 * m) for d in rot))
+    if kind == "signed":
+        lines.append(word("signs") + "".join(
+            " " + fuzz(draw(st.sampled_from(["1", "-1"])),
+                       st.sampled_from(["0", "x", "2"])) for _ in edges))
+    faces, euler = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    orient = draw(st.sampled_from(["orientable", "nonorientable"]))
+    lines.append(f"{word('claim')} {word('faces')}={num(faces, 6)} "
+                 f"{word('euler_genus')}={num(euler, 4)} {word(orient)}")
+    return "\n".join(lines) + "\n"
+
+
 def _catalog_texts():
     """Lines of five '|'-separated fields, the recipe from ``_RECIPES``."""
     line = st.tuples(st.sampled_from(["[8,1]", "x", ""]), _RECIPES,
@@ -124,5 +171,17 @@ def test_parsers_raise_only_package_errors(name, data):
     text = data.draw(st.one_of(st.text(), tokens, formatted), label="text")
     try:
         parse(text)
+    except PowerGenusError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_layout_certificate_texts())
+def test_layout_certificates_raise_only_package_errors(text):
+    """Certificates in the writer's layout, numbers and words fuzzed, get
+    past the line count to each line's own check; they too may raise
+    ``PowerGenusError`` and nothing else."""
+    try:
+        em.verify_certificate(text)
     except PowerGenusError:
         pass

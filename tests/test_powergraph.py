@@ -2,7 +2,7 @@ import pytest
 
 import powergenus.groups as gr
 import powergenus.powergraph as pg
-from powergenus.errors import InvalidVertex, NoOrderSixSubgroup, ParseError
+from powergenus.errors import InvalidVertex, ParseError
 
 from conftest import hexagon_union
 
@@ -70,14 +70,6 @@ def test_induced():
     assert sub.n == 3 and sub.m == 3
     with pytest.raises(InvalidVertex):
         pg.induced(k5, [0, 9])
-
-
-def test_hexagon_union_graph():
-    g = gr.direct_product(gr.cyclic(2), gr.cyclic(6))
-    h = pg.hexagon_union_graph(g)
-    assert h.n == 12 and h.m == 33
-    with pytest.raises(NoOrderSixSubgroup):
-        pg.hexagon_union_graph(gr.symmetric(3))
 
 
 def test_built_hexagon_unions_expected_sizes():
