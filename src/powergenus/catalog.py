@@ -2,10 +2,11 @@
 
 Complete enumerations for orders 12, 18, and 36, plus the named groups of
 orders 8, 16, 24, and 72 the genus classification refers to.  Every entry
-is a constructor recipe treated as a claim: ``build`` rebuilds the group and
-checks the expected order and order spectrum, and ``validate_all``
-additionally verifies pairwise non-isomorphism of the complete slices and
-of the 15 groups of order 24.
+is a constructor recipe treated as a claim: ``build_recipe`` resolves a
+label, whole or nested in a recipe, by building the entry's recipe and
+checking its claimed order and order spectrum (``get`` memoises the
+built-in ones), and ``validate_all`` additionally verifies pairwise
+non-isomorphism of the complete slices and of the 15 groups of order 24.
 
 Recipe grammar (shared with the CLI):
   cyclic(n) dihedral(order) dicyclic(n) semidihedral(order) sym(n) alt(n)
@@ -233,12 +234,14 @@ _MAX_NESTING = 100
 
 
 def build_recipe(expr: str, entries=None) -> FiniteGroup:
-    """Construct a group from a recipe expression (or a catalog label).
+    """Construct a group from a recipe expression or a catalog label; the
+    one place a label becomes a group.
 
-    Labels, whole or nested in the recipe, resolve against ``entries``
-    (the built-in catalog when None), and each is checked as ``build``
-    checks it.  A label whose recipe leads back to itself, or nesting
-    deeper than ``_MAX_NESTING``, is a ParseError.
+    Labels, whole or nested, resolve against ``entries`` (the built-in
+    catalog, through ``get``, when None), each built from its recipe and
+    checked against its claims, even one that reads like a constructor
+    call.  A label whose recipe leads back to itself, or nesting deeper
+    than ``_MAX_NESTING``, is a ParseError.
     """
     by_label = (_BY_LABEL if entries is None or entries is _ENTRIES
                 else {e.label: e for e in entries})
@@ -261,12 +264,10 @@ def build_recipe(expr: str, entries=None) -> FiniteGroup:
         if depth > _MAX_NESTING:
             raise ParseError(f"recipe nests deeper than {_MAX_NESTING} levels")
         expr = expr.strip()
-        if expr.startswith("["):
+        if expr in by_label or expr.startswith("["):
             return label_group(expr, depth)
         m = re.fullmatch(r"([a-z_]+[a-z_0-9]*)\((.*)\)", expr, re.DOTALL)
         if not m:
-            if expr in by_label:
-                return label_group(expr, depth)
             raise ParseError(f"cannot parse recipe {expr!r}")
         name, body = m.group(1), m.group(2)
         if name in _FAMILY_NAMES:
@@ -311,27 +312,6 @@ def build_recipe(expr: str, entries=None) -> FiniteGroup:
 def _checked(ent: CatalogEntry, g: FiniteGroup) -> FiniteGroup:
     """g under the entry's label, once its claimed order and spectrum hold."""
     g = FiniteGroup(g.table, label=ent.label, validate=False)
-    fails = _check_entry(ent, g)
-    if fails:
-        raise ValidationFailed("; ".join(fails))
-    return g
-
-
-def build(ent: CatalogEntry, entries=None) -> FiniteGroup:
-    """Build an entry's recipe under its label and check its claimed order
-    and spectrum; the one place a catalog group is constructed.  Labels in
-    the recipe resolve against ``entries`` (the built-in catalog when
-    None)."""
-    return _checked(ent, build_recipe(ent.recipe, entries))
-
-
-@lru_cache(maxsize=None)
-def get(label: str) -> FiniteGroup:
-    """The built-in catalog group with this label, built once."""
-    return build(entry(label))
-
-
-def _check_entry(ent: CatalogEntry, g: FiniteGroup) -> list[str]:
     fails = []
     if g.order != ent.expected_order:
         fails.append(f"{ent.label}: order {g.order} != expected {ent.expected_order}")
@@ -339,7 +319,16 @@ def _check_entry(ent: CatalogEntry, g: FiniteGroup) -> list[str]:
     if got != ent.expected_spectrum:
         fails.append(f"{ent.label}: spectrum {sorted(got)} != "
                      f"expected {sorted(ent.expected_spectrum)}")
-    return fails
+    if fails:
+        raise ValidationFailed("; ".join(fails))
+    return g
+
+
+@lru_cache(maxsize=None)
+def get(label: str) -> FiniteGroup:
+    """The built-in catalog group with this label, built once."""
+    ent = entry(label)
+    return _checked(ent, build_recipe(ent.recipe))
 
 
 _COMPLETE_COUNTS = {12: 5, 18: 5, 36: 14}
@@ -375,12 +364,11 @@ def validate_all() -> ValidationReport:
     built: dict[str, FiniteGroup] = {}
     for ent in _ENTRIES:
         try:
-            g = build_recipe(ent.recipe)
+            built[ent.label] = _checked(ent, build_recipe(ent.recipe))
+        except ValidationFailed as ex:
+            fails.append(str(ex))
         except Exception as ex:  # report, do not abort
             fails.append(f"{ent.label}: build failed: {ex}")
-            continue
-        built[ent.label] = g
-        fails.extend(_check_entry(ent, g))
     for order, tag in _ALL_TYPES.items():
         ents = [e for e in _ENTRIES if e.has_tag(tag)]
         if order in _COMPLETE_COUNTS and len(ents) != _COMPLETE_COUNTS[order]:
@@ -407,7 +395,7 @@ def validate_all() -> ValidationReport:
 def to_text(ents=None) -> str:
     """Line-oriented dump: label | recipe | order | spectrum | tags."""
     lines = []
-    for e in ents or _ENTRIES:
+    for e in _ENTRIES if ents is None else ents:
         spectrum = ",".join(str(k) for k in sorted(e.expected_spectrum))
         tags = ",".join(sorted(e.tags))
         lines.append(f"{e.label} | {e.recipe} | {e.expected_order} | {spectrum} | {tags}")
@@ -415,7 +403,8 @@ def to_text(ents=None) -> str:
 
 
 def from_text(text: str) -> tuple[CatalogEntry, ...]:
-    out = []
+    """Parse the ``to_text`` layout; a label may appear only once."""
+    out: dict[str, CatalogEntry] = {}
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
@@ -429,6 +418,8 @@ def from_text(text: str) -> tuple[CatalogEntry, ...]:
             spectrum = frozenset(int(k) for k in spectrum_s.split(","))
         except ValueError:
             raise ParseError(f"bad numeric field in {ln!r}") from None
+        if label in out:
+            raise ParseError(f"catalog label {label!r} appears twice")
         tags = frozenset(t for t in tags_s.split(",") if t)
-        out.append(CatalogEntry(label, recipe, order, spectrum, tags))
-    return tuple(out)
+        out[label] = CatalogEntry(label, recipe, order, spectrum, tags)
+    return tuple(out.values())

@@ -316,7 +316,7 @@ def _spectrum_inputs(spectrum) -> dict:
 
 def _match_catalog(g: FiniteGroup, labels) -> str | None:
     """The first label whose group is isomorphic to g; only candidates of
-    g's order are built (``catalog.build`` checks each entry's order)."""
+    g's order are built (``catalog.get`` checks each entry's claims)."""
     for label in labels:
         if cat.entry(label).expected_order != g.order:
             continue

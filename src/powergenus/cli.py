@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from . import catalog as cat
 from . import classifier as cls
 from .embed import certificate_to_text, verify_certificate
-from .errors import PowerGenusError, UnknownLabel
+from .errors import PowerGenusError
 from .genus import Budget, crosscap_exact, genus_exact
 from .groups import (FiniteGroup, center, count_involutions, order_spectrum,
                      six_profile)
@@ -61,23 +61,11 @@ def _entries(args):
 
 def _catalog_groups(args):
     """The active catalog's groups by order, then label; the built-in ones
-    come from ``catalog.get``, as the classifier's catalog matches do, so
-    each is built once."""
+    come through ``catalog.get``, as the classifier's catalog matches do,
+    so each is built once."""
     ents = _entries(args)
-    return (cat.build(e, ents) if args.catalog else cat.get(e.label)
+    return (cat.build_recipe(e.label, ents)
             for e in sorted(ents, key=lambda e: (e.expected_order, e.label)))
-
-
-def _build_group(args, expr: str) -> FiniteGroup:
-    """A group by label or recipe; labels, nested ones included, resolve
-    against the active catalog."""
-    ents = _entries(args)
-    by_label = {e.label: e for e in ents}
-    if expr in by_label:
-        return cat.build(by_label[expr], ents)
-    if expr.startswith("["):
-        raise UnknownLabel(f"label {expr!r} not in catalog")
-    return cat.build_recipe(expr, ents)
 
 
 def _emit(args, lines, header: bool = True) -> None:
@@ -93,7 +81,7 @@ def _emit(args, lines, header: bool = True) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_group_info(args) -> int:
-    g = _build_group(args, args.group)
+    g = cat.build_recipe(args.group, _entries(args))
     spectrum = order_spectrum(g)
     six = six_profile(g)
     label = g.label or args.group
@@ -112,7 +100,7 @@ def cmd_group_info(args) -> int:
 
 
 def cmd_powergraph(args) -> int:
-    g = _build_group(args, args.group)
+    g = cat.build_recipe(args.group, _entries(args))
     graph = power_graph(g)
     text = to_dot(graph) if args.dot else to_edge_list(graph)
     if args.output:
@@ -175,7 +163,7 @@ def cmd_classify(args) -> int:
                              f"nonorientable={v.nonorientable}")
         _emit(args, lines)
         return EXIT_OK
-    g = _build_group(args, args.group)
+    g = cat.build_recipe(args.group, _entries(args))
     v = cls.classify(g)
     _emit(args, _verdict_lines(args, g.label or args.group, g, v))
     return EXIT_OK

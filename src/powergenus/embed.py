@@ -707,6 +707,14 @@ def certificate_to_text(graph: Graph, rs, tr: FaceTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(token: str) -> int:
+    """token as an int, if the writer writes that int so: ``int`` alone
+    also takes ``+2``, ``0_2``, ``02`` and non-ASCII digits."""
+    if str(value := int(token)) != token:
+        raise ValueError(token)
+    return value
+
+
 def certificate_from_text(text: str):
     """Parse a certificate in the layout ``certificate_to_text`` writes;
     returns (graph, rotation system, claimed FaceTrace).
@@ -721,7 +729,7 @@ def certificate_from_text(text: str):
     lines = [ln for ln in map(str.rstrip, text.splitlines()) if ln]
     try:
         word, n_s, m_s, kind = lines[0].split()
-        n, m = int(n_s), int(m_s)
+        n, m = _number(n_s), _number(m_s)
         if word != "embedding" or kind not in ("signed", "orientable"):
             raise ValueError
     except (IndexError, ValueError):
@@ -737,7 +745,7 @@ def certificate_from_text(text: str):
         edges = []
         for k in range(2, 2 + m):
             u, v = lines[k - 1].split()
-            edges.append((int(u), int(v)))
+            edges.append((_number(u), _number(v)))
         if not is_edge_order(edges):
             raise ParseError("edge lines must be pairs u < v in strictly "
                              "increasing order")
@@ -747,14 +755,14 @@ def certificate_from_text(text: str):
             head, colon, rest = lines[k - 1].partition(":")
             if not colon or head.split() != ["rot", str(v)]:
                 raise ValueError
-            rots.append(tuple(map(int, rest.split())))
+            rots.append(tuple(map(_number, rest.split())))
         signs = None
         if signed:
             k = 2 + m + n
             word, *vals = lines[k - 1].split()
             if word != "signs":
                 raise ValueError
-            signs = tuple(map(int, vals))
+            signs = tuple(map(_number, vals))
         k = len(lines)
         word, faces, euler, orient = lines[-1].split()
         faces_key, _, faces = faces.partition("=")
@@ -762,7 +770,7 @@ def certificate_from_text(text: str):
         if ((word, faces_key, euler_key) != ("claim", "faces", "euler_genus")
                 or orient not in ("orientable", "nonorientable")):
             raise ValueError
-        claim = FaceTrace(int(faces), int(euler), orient == "orientable")
+        claim = FaceTrace(_number(faces), _number(euler), orient == "orientable")
     except ValueError:
         raise ParseError(f"unexpected certificate line {k}: "
                          f"{lines[k - 1]!r}") from None

@@ -597,41 +597,6 @@ def count_subgroups_of_prime_order(g: FiniteGroup, p: int) -> int:
     return n_elems // (p - 1)
 
 
-def generating_set(g: FiniteGroup) -> list[int]:
-    """A small generating set, grown greedily by closure size."""
-    gens: list[int] = []
-    closure = {0}
-    while len(closure) < g.order:
-        best, best_closure = None, None
-        for x in range(g.order):
-            if x in closure:
-                continue
-            c = _closure_of(g, gens + [x])
-            if best_closure is None or len(c) > len(best_closure):
-                best, best_closure = x, c
-                if len(c) == g.order:
-                    break
-        gens.append(best)
-        closure = best_closure
-    return gens
-
-
-def _closure_of(g: FiniteGroup, elems) -> set[int]:
-    closure = {0}
-    frontier = [0]
-    elems = list(elems)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in elems:
-                y = g.mul(x, s)
-                if y not in closure:
-                    closure.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return closure
-
-
 # ---------------------------------------------------------------------------
 # isomorphism testing
 # ---------------------------------------------------------------------------
@@ -686,7 +651,7 @@ def _iso_search(a: FiniteGroup, b: FiniteGroup, fpa, fpb):
     """Backtracking generator-image search, with candidate images matched
     by the fingerprints ``fpa`` of a and ``fpb`` of b; the first
     isomorphism map, or None when there is none."""
-    gens = generating_set(a)
+    gens = _table_generators(a.table)
     cand = []
     for s in gens:
         cs = [y for y in range(b.order) if fpb[y] == fpa[s]]

@@ -96,7 +96,7 @@ def test_build_recipe_resolves_labels_against_given_entries():
     assert cat.build_recipe("direct(Q8,cyclic(2))", ents).order == 8
     assert cat.build_recipe("Q8", ents).label == "Q8"
     with pytest.raises(ParseError, match="L -> L"):
-        cat.build(ents[1], ents)
+        cat.build_recipe("L", ents)
     with pytest.raises(ValidationFailed, match="X: order 4 != expected 5"):
         cat.build_recipe("direct(X,cyclic(2))", ents)
     with pytest.raises(UnknownLabel):
@@ -115,5 +115,6 @@ def test_text_roundtrip():
     text = cat.to_text()
     back = cat.from_text(text)
     assert back == cat.entries()
+    assert cat.from_text(cat.to_text(())) == ()
     with pytest.raises(ParseError):
         cat.from_text("only | four | fields | here\n")

@@ -131,12 +131,18 @@ def test_verify_refuses_edge_lines_out_of_order(tmp_path, capsys, edit):
     ("rot 0:", "rot 0 7:"),
     ("rot 0: 0 2\nrot 1: 1 4\n", "rot 1: 1 4\nrot 0: 0 2\n"),
     ("faces=2 euler_genus=0 orientable", "euler_genus=0 orientable faces=2"),
-], ids=["rot-extra-word", "rot-lines-swapped", "claim-reordered"])
+    ("faces=2", "faces=+0_2"),
+    ("rot 1: 1 4", "rot 1: 1 0_4"),
+    ("rot 2: 3 5", "rot 2: \uff13 5"),
+], ids=["rot-extra-word", "rot-lines-swapped", "claim-reordered",
+        "plus-underscored-count", "underscored-dart", "full-width-digit"])
 def test_verify_refuses_lines_out_of_layout(tmp_path, capsys, old, new):
     """A certificate is read in the layout certificate_to_text writes, each
-    line at its place: a rotation line naming a second vertex, the
-    rotations of vertices 0 and 1 swapped and the claim's words reordered
-    are refused, though each states a true embedding."""
+    line at its place and each number as the writer writes it: a rotation
+    line naming a second vertex, the rotations of vertices 0 and 1
+    swapped, the claim's words reordered, and numbers that ``int`` reads
+    but the writer never writes (``+0_2``, ``0_4``, a full-width 3) are
+    refused, though each states a true embedding."""
     k3 = pg.complete_graph(3)
     rs = em.rotation_from_adjacency(k3)
     text = em.certificate_to_text(k3, rs, em.trace_faces(k3, rs))
@@ -352,7 +358,7 @@ def test_catalog_file_labels_nest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("label, chain", [("L", "L -> L"),
-                                          ("A", "B -> A -> B")])
+                                          ("A", "A -> B -> A")])
 def test_catalog_file_label_cycles(tmp_path, capsys, label, chain):
     path = tmp_path / "nested.catalog"
     path.write_text(NESTED_CATALOG)
@@ -360,6 +366,37 @@ def test_catalog_file_label_cycles(tmp_path, capsys, label, chain):
                          "--no-timestamp")
     assert code == 1 and out == ""
     assert err == f"error: catalog labels refer to themselves: {chain}\n"
+
+
+@pytest.mark.parametrize("argv", [("group-info", "A"),
+                                  ("classify", "--all-catalog")])
+def test_catalog_file_repeats_a_label(tmp_path, capsys, argv):
+    """A --catalog file names each group once: a second 'A' is refused,
+    not silently taken in place of the first."""
+    path = tmp_path / "twice.catalog"
+    path.write_text("A | cyclic(4) | 4 | 1,2,4 |\n"
+                    "A | direct(cyclic(2),cyclic(2)) | 4 | 1,2 |\n")
+    code, out, err = run(capsys, *argv, "--catalog", str(path),
+                         "--no-timestamp")
+    assert code == 1 and out == ""
+    assert err == "error: catalog label 'A' appears twice\n"
+
+
+def test_catalog_label_reading_as_a_constructor(tmp_path, capsys):
+    """An expression that is a label of the active catalog is that entry,
+    whole or nested, even when it reads like a constructor call."""
+    path = tmp_path / "odd.catalog"
+    path.write_text("cyclic(4) | direct(cyclic(2),cyclic(2)) | 4 | 1,2 |\n")
+    flags = ("--catalog", str(path), "--no-timestamp")
+    code, out, _ = run(capsys, "classify", "--all-catalog", "--format",
+                       "records", *flags)
+    assert code == 0 and len(out.splitlines()) == 1
+    assert "label=cyclic(4)" in out and "spectrum={1,2}" in out
+    code, out, _ = run(capsys, "group-info", "cyclic(4)", *flags)
+    assert code == 0 and "spectrum:     {1,2}" in out
+    code, out, _ = run(capsys, "group-info", "direct(cyclic(4),cyclic(3))",
+                       *flags)
+    assert code == 0 and "spectrum:     {1,2,3,6}" in out
 
 
 @pytest.mark.parametrize("recipe", ["perm(0; ())", "perm(-1; ())"])

@@ -347,7 +347,7 @@ def test_associativity_check_matches_triple_loop(build, tables, light_only,
 def test_table_generators_need_four_for_z2_4():
     gens = gr._table_generators(Z2_4.table)
     assert len(gens) == 4
-    assert len(gr._closure_of(Z2_4, gens)) == 16
+    assert len(gr._word_tree(Z2_4, gens)[1]) == 16
     # Light's test on all four: swapping an intercalate is caught
     t = _swap_intercalates(Z2_4.table, np.random.default_rng(4), 1)
     assert not _ref_associative(t)
@@ -548,7 +548,7 @@ def test_catalog_build_never_validates(monkeypatch):
     monkeypatch.setattr(gr.FiniteGroup, "validate",
                         lambda self: calls.append(self.label))
     for ent in cat.entries():
-        cat.build(ent)
+        cat.build_recipe(ent.recipe)
     assert calls == []
 
 
