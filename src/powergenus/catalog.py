@@ -240,16 +240,19 @@ def build_recipe(expr: str, entries=None) -> FiniteGroup:
     Labels, whole or nested, resolve against ``entries`` (the built-in
     catalog, through ``get``, when None), each built from its recipe and
     checked against its claims, even one that reads like a constructor
-    call.  A label whose recipe leads back to itself, or nesting deeper
-    than ``_MAX_NESTING``, is a ParseError.
+    call, and built once per call.  A label whose recipe leads back to
+    itself, or nesting deeper than ``_MAX_NESTING``, is a ParseError.
     """
     by_label = (_BY_LABEL if entries is None or entries is _ENTRIES
                 else {e.label: e for e in entries})
     resolving: list[str] = []  # labels whose recipes are being built
+    built: dict[str, FiniteGroup] = {}  # file labels built in this call
 
     def label_group(label: str, depth: int) -> FiniteGroup:
         if by_label is _BY_LABEL:
             return get(label)
+        if label in built:
+            return built[label]
         if label not in by_label:
             raise UnknownLabel(f"no catalog entry {label!r}")
         if label in resolving:
@@ -258,7 +261,8 @@ def build_recipe(expr: str, entries=None) -> FiniteGroup:
         resolving.append(label)
         g = recipe(by_label[label].recipe, depth + 1)
         resolving.pop()
-        return _checked(by_label[label], g)
+        built[label] = _checked(by_label[label], g)
+        return built[label]
 
     def recipe(expr: str, depth: int) -> FiniteGroup:
         if depth > _MAX_NESTING:

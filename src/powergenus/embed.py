@@ -8,7 +8,8 @@ edge ``e = (u, v)`` owns two darts: dart ``2e`` with tail ``u`` and dart
 ``2e + 1`` with tail ``v``.  A rotation system assigns each vertex the
 cyclic order of the darts whose tail it is.  A signed rotation system adds
 a sign (+1/-1) per edge; all-positive systems describe orientable
-embeddings.
+embeddings.  Outside the search kernel, only ``rotation_from_orders``
+turns neighbour orders into darts.
 
 Face tracing of signed systems goes through the orientable double cover:
 each dart gets two lifts (levels 0 and 1), level-1 rotations are reversed,
@@ -47,22 +48,37 @@ class RotationSystem:
 
 
 def dart_tail(graph: Graph, d: int) -> int:
-    u, v = graph.edges[d >> 1]
-    return u if d & 1 == 0 else v
+    return graph.edges[d >> 1][d & 1]
 
 
 def dart_head(graph: Graph, d: int) -> int:
-    u, v = graph.edges[d >> 1]
-    return v if d & 1 == 0 else u
+    return graph.edges[d >> 1][1 - (d & 1)]
+
+
+def _edge_ids(graph: Graph) -> dict[tuple[int, int], int]:
+    """The id of each edge, under both (u, v) and (v, u)."""
+    return {p: e for e, (u, v) in enumerate(graph.edges) for p in ((u, v), (v, u))}
+
+
+def rotation_from_orders(graph: Graph, orders, twisted=None) -> RotationSystem:
+    """Vertex v's darts to its neighbours in the cyclic order ``orders[v]``;
+    sign -1 on the ``twisted`` edges (vertex pairs, either way round) and +1
+    elsewhere, or unsigned when ``twisted`` is None.  Outside the search
+    kernel, this is the one place a (vertex, neighbour) pair becomes a dart."""
+    ids = _edge_ids(graph)
+    rots = tuple(tuple(2 * ids[v, w] + (v > w) for w in order)
+                 for v, order in enumerate(orders))
+    if twisted is None:
+        return RotationSystem(rots)
+    signs = [1] * graph.m
+    for e in twisted:
+        signs[ids[e]] = -1
+    return RotationSystem(rots, tuple(signs))
 
 
 def rotation_from_adjacency(graph: Graph) -> RotationSystem:
-    """The default rotation: darts at each vertex in increasing dart id."""
-    rots: list[list[int]] = [[] for _ in range(graph.n)]
-    for e, (u, v) in enumerate(graph.edges):
-        rots[u].append(2 * e)
-        rots[v].append(2 * e + 1)
-    return RotationSystem(tuple(tuple(r) for r in rots))
+    """The default rotation: neighbours, so darts, in increasing order."""
+    return rotation_from_orders(graph, map(sorted, graph.adjacency()))
 
 
 def validate_rotation(graph: Graph, rs) -> None:
@@ -245,7 +261,7 @@ def _edge_insertion_order(graph: Graph):
     adj = graph.adjacency()
     deg = [len(a) for a in adj]
     root = max(range(graph.n), key=lambda v: (deg[v], -v))
-    eindex = {frozenset(e): i for i, e in enumerate(graph.edges)}
+    ids = _edge_ids(graph)
     order: list[int] = []
     activating: list[bool] = []
     active = [False] * graph.n
@@ -269,7 +285,7 @@ def _edge_insertion_order(graph: Graph):
         back = sorted((u for u in adj[w] if active[u]),
                       key=lambda u: (-deg[u], u))
         for i, u in enumerate(back):
-            order.append(eindex[frozenset((u, w))])
+            order.append(ids[u, w])
             activating.append(i == 0)
         activate(w)
     assert len(order) == graph.m

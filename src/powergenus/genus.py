@@ -36,8 +36,8 @@ from math import ceil, inf
 
 import networkx as nx
 
-from .embed import (Budget, FaceTrace, RotationSystem, rotation_from_adjacency,
-                    search_embedding, trace_faces)
+from .embed import (Budget, FaceTrace, RotationSystem, dart_head,
+                    rotation_from_orders, search_embedding, trace_faces)
 from .errors import Disconnected, InexactInput, InvalidParameter
 from .powergraph import Graph, induced
 
@@ -213,16 +213,8 @@ def is_planar(graph: Graph) -> PlanarityResult:
                 h.add_edge(u, v)
         witness = induced(Graph(graph.n, tuple(h.edges), graph.labels), h)
         return PlanarityResult(False, witness=witness)
-    eindex = {frozenset(e): i for i, e in enumerate(graph.edges)}
-    rots = []
     data = cert.get_data()
-    for v in range(graph.n):
-        darts = []
-        for w in data.get(v, []):
-            e = eindex[frozenset((v, w))]
-            darts.append(2 * e if graph.edges[e][0] == v else 2 * e + 1)
-        rots.append(tuple(darts))
-    rs = RotationSystem(tuple(rots))
+    rs = rotation_from_orders(graph, [data.get(v, []) for v in range(graph.n)])
     tr = None
     if graph.m and nx.is_connected(g):
         # independent cross-check with our own face tracer
@@ -484,14 +476,12 @@ def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
     The budget is part of the key, so bounds found under one budget are
     never served to another.  What is returned for a graph is remembered in
     ``_ANSWERS``, so a graph equal to one asked before is answered with no
-    class lookup, for as long as its entry is still in ``_CLASSES``.
-    Callers get their own certificate dicts."""
+    class lookup.  Callers get their own certificate dicts."""
     budget = budget or Budget()
     key = (signed, budget.max_nodes, budget.max_seconds)
     asked = _ANSWERS.get((graph, key))
-    if asked is not None and any(e is asked[0]
-                                 for e in _CLASSES.get(asked[0].key, ())):
-        return _served(asked[1], "cache")
+    if asked is not None:
+        return _served(asked, "cache")
     entry, phi = _class_of(graph)
     res = entry.results.get(key)
     path = "cache"
@@ -500,13 +490,13 @@ def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
         path = res.path
     if phi is not None:
         res = _carry(res, entry.graph, graph, phi)
-    _ANSWERS[graph, key] = entry, res
+    _ANSWERS[graph, key] = res
     return _served(res, path)
 
 
-#: What ``_exact`` returned, by (graph, (signed, max_nodes, max_seconds)):
-#: the graph's class entry and the result, certificates carried onto graph.
-_ANSWERS: dict[tuple, tuple[_Class, GenusResult]] = {}
+#: What ``_exact`` returned, by (graph, (signed, max_nodes, max_seconds)),
+#: certificates carried onto graph.
+_ANSWERS: dict[tuple, GenusResult] = {}
 
 
 def _served(res: GenusResult, path: str) -> GenusResult:
@@ -552,13 +542,11 @@ def _solve(entry: _Class, budget: Budget, signed: bool) -> GenusResult:
     # budget ran out: report bounds with a cheap upper bound, any full
     # embedding; flipping one non-bridge edge (a nonplanar graph has a cycle)
     # of an orientable one makes it nonorientable with crosscap at most 2g + 2
-    rs = rotation_from_adjacency(graph)
+    adj = graph.adjacency()
+    twisted = None
     if signed:
-        adj = graph.adjacency()
-        flip = next(e for e, (u, v) in enumerate(graph.edges)
-                    if _joined_without_edge(adj, u, v))
-        rs = RotationSystem(rs.rotations,
-                            tuple(-1 if e == flip else 1 for e in range(graph.m)))
+        twisted = [next(e for e in graph.edges if _joined_without_edge(adj, *e))]
+    rs = rotation_from_orders(graph, map(sorted, adj), twisted)
     tr = trace_faces(graph, rs)
     assert tr.orientable != signed
     return GenusResult("bounds", level, tr.crosscap if signed else tr.genus,
@@ -570,36 +558,27 @@ def _carry(res: GenusResult, rep: Graph, graph: Graph,
     """res, proved for rep, as a result for graph, along the isomorphism
     phi from rep onto graph.
 
-    Edge (u, v) of rep goes to (phi u, phi v), and its dart from u to the
-    dart from phi u, which is the other side when phi u > phi v; rotations
-    and signs move with their darts and edges.  The face trace stays: phi,
-    confirmed edge by edge in ``_isomorphism``, maps rep's faces onto the
-    carried embedding's, so their count, Euler genus and orientability are
-    the same.  A witness is rebuilt on graph under graph's labels (labels
+    An embedding is rebuilt on graph by ``rotation_from_orders`` from its
+    neighbour orders mapped through the isomorphism (vertex phi v lists
+    phi w for each neighbour w in v's order) and its twisted edges, each
+    (u, v) carried to (phi u, phi v).  The face trace stays: phi, confirmed
+    edge by edge in ``_isomorphism``, maps rep's faces onto the carried
+    embedding's, so their count, Euler genus and orientability are the
+    same.  A witness is rebuilt on graph under graph's labels (labels
     name the witness's vertices).  Other certificates are copied.
     """
-    eindex = {e: i for i, e in enumerate(graph.edges)}
-    dart = [0] * (2 * rep.m)
-    for e, (u, v) in enumerate(rep.edges):
-        a, b = phi[u], phi[v]
-        flip = a > b
-        d = 2 * eindex[(b, a) if flip else (a, b)]
-        dart[2 * e], dart[2 * e + 1] = d + flip, d + (not flip)
-
     def carry(cert: dict) -> dict:
         cert = dict(cert)
         if cert.get("method") == "embedding":
             rs = cert["rotation"]
-            rots = [()] * graph.n
+            orders = [()] * graph.n
             for v, rot in enumerate(rs.rotations):
-                rots[phi[v]] = tuple(dart[d] for d in rot)
-            signs = None
+                orders[phi[v]] = [phi[dart_head(rep, d)] for d in rot]
+            twisted = None
             if rs.is_signed():
-                signs = [1] * graph.m
-                for e, sign in enumerate(rs.signs):
-                    signs[dart[2 * e] >> 1] = sign
-                signs = tuple(signs)
-            cert["rotation"] = RotationSystem(tuple(rots), signs)
+                twisted = [(phi[u], phi[v]) for (u, v), sign
+                           in zip(rep.edges, rs.signs) if sign == -1]
+            cert["rotation"] = rotation_from_orders(graph, orders, twisted)
         if cert.get("witness") is not None:
             w = cert["witness"]
             index = {label: v for v, label in enumerate(rep.labels)}

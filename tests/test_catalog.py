@@ -103,6 +103,24 @@ def test_build_recipe_resolves_labels_against_given_entries():
         cat.build_recipe("direct([8,1],cyclic(2))", ents)
 
 
+def test_build_recipe_builds_each_file_label_once(monkeypatch):
+    """Labels forming a DAG of depth 30, each referring twice to the one
+    below: every label is built and checked once, not once per path."""
+    text = "A0 | cyclic(1) | 1 | 1 |\n" + "".join(
+        f"A{i} | direct(A{i - 1},A{i - 1}) | 1 | 1 |\n" for i in range(1, 31))
+    ents = cat.from_text(text)
+    calls = []
+    checked = cat._checked
+
+    def counting(ent, g):
+        calls.append(ent.label)
+        return checked(ent, g)
+
+    monkeypatch.setattr(cat, "_checked", counting)
+    assert cat.build_recipe("A30", ents).label == "A30"
+    assert sorted(calls) == sorted(f"A{i}" for i in range(31))
+
+
 def test_72_43_structure():
     g = cat.get("[72,43]")
     prof = gr.six_profile(g)

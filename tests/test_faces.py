@@ -262,10 +262,17 @@ def _random_rotation(graph, rnd):
 @given(st.integers(4, 7), st.randoms(use_true_random=False))
 def test_face_trace_properties(n, rnd):
     """Any rotation + signs on K_n: Euler's relation holds, all-plus systems
-    are orientable, and orientable traces have even Euler genus."""
+    are orientable, and orientable traces have even Euler genus.  The
+    neighbour orders and twisted edges read back from either system rebuild
+    it through ``rotation_from_orders``."""
     graph = pg.complete_graph(n)
     rots = _random_rotation(graph, rnd)
     signs = tuple(rnd.choice((1, -1)) for _ in range(graph.m))
+    orders = [[em.dart_head(graph, d) for d in rot] for rot in rots]
+    twisted = [e for e, s in zip(graph.edges, signs) if s == -1]
+    for rs in (em.RotationSystem(rots, signs), em.RotationSystem(rots)):
+        assert em.rotation_from_orders(
+            graph, orders, twisted if rs.is_signed() else None) == rs
     tr = em.trace_faces(graph, em.RotationSystem(rots, signs))
     assert tr.face_count >= 1
     assert graph.n - graph.m + tr.face_count == 2 - tr.euler_genus

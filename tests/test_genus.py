@@ -135,8 +135,10 @@ def test_is_planar():
 
 @pytest.fixture
 def fresh_cache(monkeypatch):
-    """An empty block cache for this test, so its counts start from zero."""
+    """An empty block cache and answer memo for this test, so its counts
+    start from zero."""
     monkeypatch.setattr(gn, "_CLASSES", {})
+    monkeypatch.setattr(gn, "_ANSWERS", {})
 
 
 def _counting(monkeypatch, name):
@@ -483,8 +485,8 @@ def test_graph_asked_again_answered_from_memo(monkeypatch, fresh_cache):
     Graph of either is answered from what ``_exact`` returned for it: path
     "cache", no ``_refine``, ``_isomorphism`` or ``_carry`` call, the same
     kind and bounds, its own certificate dicts, and upper certificates
-    that re-trace on the graph asked.  Emptying the class cache forgets
-    those answers."""
+    that re-trace on the graph asked.  Emptying the class cache and the
+    memo forgets those answers."""
     block = _dic3_block()
     asked = {}
     for graph in (block, _relabelled(block, 3)):
@@ -504,6 +506,7 @@ def test_graph_asked_again_answered_from_memo(monkeypatch, fresh_cache):
         assert em.trace_faces(again, uc["rotation"]) == uc["trace"]
     assert lookups == [[], [], []]
     monkeypatch.setattr(gn, "_CLASSES", {})
+    monkeypatch.setattr(gn, "_ANSWERS", {})
     hit = gn.genus_exact(pg.Graph(block.n, block.edges, block.labels))
     assert hit.path == "search" and lookups[0]
 
