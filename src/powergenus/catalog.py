@@ -202,15 +202,16 @@ def _split_args(body: str, sep: str = ",") -> list[str]:
 
 def _action_map(name: str, n_grp: FiniteGroup) -> tuple[int, ...]:
     if name == "invert":
-        return tuple(n_grp.inv(x) for x in range(n_grp.order))
+        return tuple(n_grp.inverses().tolist())
     m = re.fullmatch(r"power(\d+)", name)
     if m:
         try:
             k = int(m.group(1))
         except ValueError:  # past Python's limit on digits in int()
             raise ParseError(f"power exponent too long: {name[:20]}...") from None
-        k %= n_grp.order  # x^|N| = e, so the reduced exponent acts alike
-        return tuple(n_grp.power(x, k) for x in range(n_grp.order))
+        # the last row is x^exponent = e, so the reduced exponent acts alike
+        powers = n_grp.powers()
+        return tuple(powers[k % (len(powers) - 1)].tolist())
     if name == "rot90":
         if n_grp.order != 9:
             raise InvalidParameter("rot90 acts on direct(cyclic(3),cyclic(3))")

@@ -219,21 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("powergraph", parents=[catalog, stamp],
                        help="export a power graph")
     s.add_argument("group")
-    fmt = s.add_mutually_exclusive_group()
-    fmt.add_argument("--dot", action="store_true", help="DOT output")
-    fmt.add_argument("--edges", action="store_true",
-                     help="edge-list output (default)")
+    s.add_argument("--dot", action="store_true",
+                   help="DOT output (default: edge list)")
     s.add_argument("--output", "-o", metavar="PATH")
     s.set_defaults(func=cmd_powergraph)
 
     s = sub.add_parser("genus", parents=[budget, stamp],
                        help="exact genus search on an edge-list file")
     s.add_argument("edgefile")
-    surf = s.add_mutually_exclusive_group()
-    surf.add_argument("--orientable", action="store_true",
-                      help="orientable genus (default)")
-    surf.add_argument("--nonorientable", action="store_true",
-                      help="nonorientable genus (crosscap)")
+    s.add_argument("--nonorientable", action="store_true",
+                   help="nonorientable genus (crosscap; default: orientable)")
     s.add_argument("--certificate", metavar="PATH",
                    help="write the embedding certificate here")
     s.set_defaults(func=cmd_genus)

@@ -27,10 +27,6 @@ class NotAnAutomorphism(PowerGenusError):
     pass
 
 
-class PNotPrime(PowerGenusError):
-    pass
-
-
 class OrderCapExceeded(PowerGenusError):
     """Group order above the documented practical bound (144)."""
 

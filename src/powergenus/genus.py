@@ -310,7 +310,8 @@ def _embedding_certificate(rs, tr: FaceTrace | None) -> dict:
 
 def genus_exact(graph: Graph, budget: Budget | None = None) -> GenusResult:
     """Exact orientable genus by level-by-level search; degrades to bounds
-    when the budget runs out at some level (never silently wrong)."""
+    when the budget runs out at some level, unless the fallback embedding
+    already reaches the lower bound (never silently wrong)."""
     return _exact(graph, budget, signed=False)
 
 
@@ -405,7 +406,9 @@ def _isomorphism(entry: _Class, adj: list[set[int]],
     rep = entry.graph
     rep_adj = None
     col_r, col_g, sizes = entry.colours, colours, [k for _, k in entry.key[2]]
-    frames = []  # [col_r, col_g, sizes, v, candidates, next candidate]
+    # [col_r refined with v individualised, its signature, col_g,
+    #  candidates w, next candidate]
+    frames = []
     while True:
         c = _split_colour(adj, col_g, sizes)
         if c is None:
@@ -417,18 +420,19 @@ def _isomorphism(entry: _Class, adj: list[set[int]],
             if all(phi[v] in adj[phi[u]] for u, v in rep.edges):
                 return phi
         else:
-            frames.append([col_r, col_g, sizes, col_r.index(c),
+            if rep_adj is None:
+                rep_adj = rep.adjacency()
+            # the representative's side depends only on v: refined once
+            v = col_r.index(c)
+            frames.append([*_refine(rep_adj, _individualised(col_r, v)), col_g,
                            [w for w, d in enumerate(col_g) if d == c], 0])
         while frames:
             frame = frames[-1]
-            col_r, col_g, sizes, v, candidates, i = frame
+            col_r, sig_r, col_g, candidates, i = frame
             if i == len(candidates):
                 frames.pop()
                 continue
-            frame[5] = i + 1
-            if rep_adj is None:
-                rep_adj = rep.adjacency()
-            col_r, sig_r = _refine(rep_adj, _individualised(col_r, v))
+            frame[4] = i + 1
             col_g, sig_g = _refine(adj, _individualised(col_g, candidates[i]))
             if sig_r == sig_g:
                 sizes = [k for _, k in sig_r]
@@ -541,7 +545,8 @@ def _solve(entry: _Class, budget: Budget, signed: bool) -> GenusResult:
                       "budget": budget, "completed": True, "nodes": out.nodes}
     # budget ran out: report bounds with a cheap upper bound, any full
     # embedding; flipping one non-bridge edge (a nonplanar graph has a cycle)
-    # of an orientable one makes it nonorientable with crosscap at most 2g + 2
+    # of an orientable one makes it nonorientable with crosscap at most 2g + 2;
+    # the value is exact when that embedding already reaches the lower bound
     adj = graph.adjacency()
     twisted = None
     if signed:
@@ -549,7 +554,8 @@ def _solve(entry: _Class, budget: Budget, signed: bool) -> GenusResult:
     rs = rotation_from_orders(graph, map(sorted, adj), twisted)
     tr = trace_faces(graph, rs)
     assert tr.orientable != signed
-    return GenusResult("bounds", level, tr.crosscap if signed else tr.genus,
+    upper = tr.crosscap if signed else tr.genus
+    return GenusResult("exact" if upper == level else "bounds", level, upper,
                        lower_cert, _embedding_certificate(rs, tr), "search")
 
 

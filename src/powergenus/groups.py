@@ -1,9 +1,11 @@
-"""Finite group kernel: Cayley tables, element arithmetic, subgroup machinery.
+"""Finite group kernel: Cayley tables, their inverse and power tables,
+subgroup machinery.
 
 Groups are stored as full multiplication tables (orders stay <= 144 in every
 catalog use); constructors refuse orders above ``MAX_ORDER`` before
-allocating a table.  Validation and the isomorphism invariants are
-whole-table numpy operations.
+allocating a table.  Products, inverses and powers come only from
+``FiniteGroup.table``, ``inverses()`` and ``powers()``.  Validation and the
+isomorphism invariants are whole-table numpy operations.
 The identity is always normalized to index 0, and all values are immutable
 after construction.
 
@@ -30,7 +32,6 @@ from .errors import (
     NotAnAutomorphism,
     OrderCapExceeded,
     ParseError,
-    PNotPrime,
 )
 
 ISO_ORDER_CAP = 144
@@ -103,7 +104,8 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     ``table[i, j]`` is the index of the product i*j; element 0 is the
-    identity.  Instances are immutable and hashable by identity of content.
+    identity; inverses and powers are rows of the cached ``inverses()`` and
+    ``powers()``.  Instances are immutable and hashable by identity of content.
     """
 
     __slots__ = ("table", "label", "_orders", "_inv", "_powers", "_hash")
@@ -127,9 +129,6 @@ class FiniteGroup:
     def order(self) -> int:
         return self.table.shape[0]
 
-    def __len__(self) -> int:
-        return self.order
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and np.array_equal(self.table, other.table)
 
@@ -141,36 +140,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         name = self.label or "?"
         return f"FiniteGroup(order={self.order}, label={name!r})"
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def mul(self, x: int, y: int) -> int:
-        return int(self.table[x, y])
-
-    def inverses(self) -> np.ndarray:
-        """Read-only array holding the inverse of every element."""
-        if self._inv is None:
-            inv = np.empty(self.order, dtype=np.int32)
-            rows, cols = np.nonzero(self.table == 0)
-            inv[rows] = cols
-            inv.setflags(write=False)
-            self._inv = inv
-        return self._inv
-
-    def inv(self, x: int) -> int:
-        return int(self.inverses()[x])
-
-    def power(self, x: int, k: int) -> int:
-        """x^k by repeated squaring, O(log k) products."""
-        if k < 0:
-            return self.power(self.inv(x), -k)
-        acc = 0
-        while k:
-            if k & 1:
-                acc = int(self.table[acc, x])
-            x = int(self.table[x, x])
-            k >>= 1
-        return acc
 
     # -- validation ----------------------------------------------------------
 
@@ -209,7 +178,17 @@ class FiniteGroup:
         if not associative:
             raise InvalidParameter("table is not associative")
 
-    # -- powers and element orders -------------------------------------------
+    # -- inverses, powers and element orders ---------------------------------
+
+    def inverses(self) -> np.ndarray:
+        """Read-only array holding the inverse of every element."""
+        if self._inv is None:
+            inv = np.empty(self.order, dtype=np.int32)
+            rows, cols = np.nonzero(self.table == 0)
+            inv[rows] = cols
+            inv.setflags(write=False)
+            self._inv = inv
+        return self._inv
 
     def powers(self) -> np.ndarray:
         """Read-only table whose row k holds x^k for every element x, for
@@ -272,9 +251,6 @@ class SixProfile:
         expect = self.count * (self.count - 1) // 2
         assert len(self.pairwise_intersections) == expect
         assert all(k in (1, 2, 3) for k in self.pairwise_intersections)
-
-    def all_pairwise_three(self) -> bool:
-        return self.count >= 2 and all(k == 3 for k in self.pairwise_intersections)
 
     def __str__(self) -> str:
         return f"({self.count};{','.join(map(str, self.pairwise_intersections))})"
@@ -574,27 +550,8 @@ def center(g: FiniteGroup) -> frozenset[int]:
     return frozenset(int(v) for v in np.nonzero((t == t.T).all(axis=1))[0])
 
 
-def conjugacy_class(g: FiniteGroup, x: int) -> frozenset[int]:
-    """{h^-1 x h : h in G}."""
-    t = g.table
-    return frozenset(t[t[g.inverses(), x], np.arange(g.order)].tolist())
-
-
 def count_involutions(g: FiniteGroup) -> int:
     return int(np.count_nonzero(g.element_orders() == 2))
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
-def count_subgroups_of_prime_order(g: FiniteGroup, p: int) -> int:
-    if not _is_prime(p):
-        raise PNotPrime(f"{p} is not prime")
-    n_elems = int(np.count_nonzero(g.element_orders() == p))
-    return n_elems // (p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -610,16 +567,18 @@ def _fingerprints(g: FiniteGroup) -> list[tuple[int, int]]:
     return list(zip(g.element_orders().tolist(), sizes.tolist()))
 
 
-def _word_tree(g: FiniteGroup, gens):
-    """BFS expressions of every element as (parent, generator-slot) pairs."""
+def _word_tree(ta: list[list[int]], gens):
+    """BFS expressions of every element as (parent, generator-slot) pairs,
+    with ``ta`` the group's table as nested lists."""
     parent = {0: None}
     order = [0]
     frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
+            row = ta[x]
             for slot, s in enumerate(gens):
-                y = g.mul(x, s)
+                y = row[s]
                 if y not in parent:
                     parent[y] = (x, slot)
                     order.append(y)
@@ -628,23 +587,20 @@ def _word_tree(g: FiniteGroup, gens):
     return parent, order
 
 
-def _extend_map(a: FiniteGroup, b: FiniteGroup, gens, images, parent, bfs_order):
-    """Extend generator images along the word tree; None if not injective."""
-    phi = {0: 0}
+def _extend_map(tb: list[list[int]], images, parent, bfs_order):
+    """Extend generator images along the word tree, with ``tb`` the target
+    group's table as nested lists: phi[x] for every element x, or None if
+    phi is not injective."""
+    phi = [0] * len(bfs_order)
     for x in bfs_order[1:]:
         px, slot = parent[x]
-        phi[x] = b.mul(phi[px], images[slot])
-    if len(set(phi.values())) != a.order:
-        return None
-    return phi
+        phi[x] = tb[phi[px]][images[slot]]
+    return phi if len(set(phi)) == len(phi) else None
 
 
-def _is_hom(a: FiniteGroup, b: FiniteGroup, phi) -> bool:
-    ta, tb = a.table, b.table
-    p = np.empty(a.order, dtype=np.int32)
-    for x, y in phi.items():
-        p[x] = y
-    return np.array_equal(p[ta], tb[np.ix_(p, p)])
+def _is_hom(a: FiniteGroup, b: FiniteGroup, phi: list[int]) -> bool:
+    p = np.asarray(phi)
+    return np.array_equal(p[a.table], b.table[np.ix_(p, p)])
 
 
 def _iso_search(a: FiniteGroup, b: FiniteGroup, fpa, fpb):
@@ -658,9 +614,10 @@ def _iso_search(a: FiniteGroup, b: FiniteGroup, fpa, fpb):
         if not cs:
             return None
         cand.append(cs)
-    parent, bfs_order = _word_tree(a, gens)
+    parent, bfs_order = _word_tree(a.table.tolist(), gens)
+    tb = b.table.tolist()
     for images in itertools.product(*cand):
-        phi = _extend_map(a, b, gens, images, parent, bfs_order)
+        phi = _extend_map(tb, images, parent, bfs_order)
         if phi is not None and _is_hom(a, b, phi):
             return phi
     return None

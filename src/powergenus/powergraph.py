@@ -55,9 +55,6 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if v in (u, w))
-
     def to_networkx(self) -> nx.Graph:
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
@@ -155,8 +152,8 @@ def from_edge_list(text: str) -> Graph:
     return graph
 
 
-def to_dot(graph: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(graph: Graph) -> str:
+    lines = ["graph G {"]
     for v in range(graph.n):
         lines.append(f'  {v} [label="{graph.labels[v]}"];')
     for u, v in graph.edges:

@@ -124,7 +124,7 @@ def test_build_recipe_builds_each_file_label_once(monkeypatch):
 def test_72_43_structure():
     g = cat.get("[72,43]")
     prof = gr.six_profile(g)
-    assert prof.count == 3 and prof.all_pairwise_three()
+    assert prof.count == 3 and prof.pairwise_intersections == (3, 3, 3)
     assert not gr.is_isomorphic(
         g, gr.direct_product(gr.cyclic(3), gr.symmetric(4)))
 

@@ -14,7 +14,7 @@ def test_reduction_set_q16():
     q16 = gr.dicyclic(4)
     s = cls.reduction_set(q16)
     assert len(s) == 8  # the unique Z8
-    assert 0 in s and all(q16.mul(x, y) in s for x in s for y in s)
+    assert 0 in s and all(q16.table[x, y] in s for x in s for y in s)
     orders = q16.element_orders()
     assert {int(orders[x]) for x in range(16) if x not in s} == {4}
 

@@ -52,7 +52,9 @@ def test_group_info_order_above_table_limit(capsys):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
-@pytest.mark.parametrize("argv", [("classify", "--bogus"), ("genus",)])
+@pytest.mark.parametrize("argv", [("classify", "--bogus"), ("genus",),
+                                  ("genus", "k33.edges", "--orientable"),
+                                  ("powergraph", "cyclic(6)", "--edges")])
 def test_usage_errors_exit_1(capsys, argv):
     """A usage error is an error (1), not the bounds-only code (2)."""
     code, out, err = run(capsys, *argv)
@@ -198,6 +200,16 @@ def test_genus_bounds_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, "genus", str(edge_file), "--budget-nodes", "50",
                        "--no-timestamp")
     assert code == 2 and "bounds" in out
+
+
+def test_genus_fallback_at_lower_bound_exits_0(tmp_path, capsys):
+    """K3,3 under a one-node budget: the fallback embedding reaches the
+    Euler bound, so the value is exact."""
+    edge_file = tmp_path / "k33.edges"
+    edge_file.write_text(pg.to_edge_list(pg.complete_bipartite(3, 3)))
+    code, out, _ = run(capsys, "genus", str(edge_file), "--budget-nodes", "1",
+                       "--no-timestamp")
+    assert code == 0 and out.splitlines()[0] == "genus exact 1"
 
 
 def test_genus_deep_pendant_path(tmp_path, capsys):

@@ -327,6 +327,19 @@ def test_class_lookup_backtracks_on_rigid_regular_graph(fresh_cache):
             _assert_isomorphism(frucht, copy, phi)
 
 
+def test_class_lookup_refines_each_representative_choice_once(
+        monkeypatch, fresh_cache):
+    """Individualising a vertex of the representative is refined once per
+    backtracking frame, not once per candidate image: 20 relabelled
+    copies of the Frucht graph take 198 refinements in all."""
+    frucht = pg.Graph(12, tuple(nx.frucht_graph().edges))
+    entry, _ = gn._class_of(frucht)
+    refined = _counting(monkeypatch, "_refine")
+    for seed in range(20):
+        assert gn._class_of(_relabelled(frucht, seed))[0] is entry
+    assert len(refined) == 198
+
+
 def _assert_isomorphism(rep, graph, phi):
     """phi is a bijection from rep's vertices onto graph's that maps rep's
     edge set onto graph's."""
@@ -534,6 +547,24 @@ def test_genus_result_bounds_refuse_value():
     ok, msg = em.verify_certificate(
         em.certificate_to_text(k8, uc["rotation"], uc["trace"]))
     assert ok, msg
+
+
+def test_fallback_embedding_at_lower_bound_is_exact(fresh_cache):
+    """K3,3 with a one-node budget: the genus-1 search stops at once, but
+    the fallback embedding of sorted neighbours has genus 1, the Euler
+    bound, so the value is exact with the fallback as its certificate.
+    The crosscap fallback (crosscap 3 against the bound 1) stays bounds."""
+    k33 = pg.complete_bipartite(3, 3)
+    res = gn.genus_exact(k33, gn.Budget(max_nodes=1))
+    assert (res.kind, res.value, res.path) == ("exact", 1, "search")
+    assert res.lower_certificate == {"method": "euler_bound", "value": 1}
+    uc = res.upper_certificate
+    assert uc["rotation"] == em.rotation_from_adjacency(k33)
+    ok, msg = em.verify_certificate(
+        em.certificate_to_text(k33, uc["rotation"], uc["trace"]))
+    assert ok, msg
+    res = gn.crosscap_exact(k33, gn.Budget(max_nodes=1))
+    assert (res.kind, res.lower, res.upper) == ("bounds", 1, 3)
 
 
 def test_signed_fallback_flips_first_non_bridge_edge():

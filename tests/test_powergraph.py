@@ -103,10 +103,5 @@ def test_edge_list_header_vertices_bounded(text):
 def test_to_dot():
     g = pg.complete_graph(3)
     dot = pg.to_dot(g)
-    assert dot.startswith("graph")
+    assert dot.startswith("graph G {")
     assert dot.count("--") == 3
-
-
-def test_degree():
-    g = pg.complete_bipartite(3, 4)
-    assert g.degree(0) == 4 and g.degree(3) == 3
