@@ -9,15 +9,14 @@ exact genus, block composition), ``catalog`` (named small groups),
 
 __version__ = "0.1.0"
 
-from .classifier import (Verdict, classify, classify_nonorientable,
-                         classify_orientable, cross_validate, reduction_set,
+from .classifier import (Verdict, classify, cross_validate, reduction_set,
                          verify_lemma)
 from .genus import crosscap_exact, genus_exact
 from .groups import FiniteGroup
 from .powergraph import Graph, power_graph
 
 __all__ = [
-    "FiniteGroup", "Graph", "Verdict", "classify", "classify_nonorientable",
-    "classify_orientable", "cross_validate", "crosscap_exact", "genus_exact",
-    "power_graph", "reduction_set", "verify_lemma", "__version__",
+    "FiniteGroup", "Graph", "Verdict", "classify", "cross_validate",
+    "crosscap_exact", "genus_exact", "power_graph", "reduction_set",
+    "verify_lemma", "__version__",
 ]

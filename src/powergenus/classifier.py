@@ -9,6 +9,8 @@ re-running the rule on the recorded inputs reproduces the conclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import gcd
 
 from . import catalog as cat
 from .errors import (InternalContradiction, OrderCapExceeded, UnknownRule)
@@ -50,19 +52,19 @@ class CertificateStep:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Genus classification of a group's power graph.
+    """Genus classification of a group's power graph on both surfaces.
 
     ``orientable`` is one of planar, one, two, at_least_three,
-    other_with_bounds (or None when only the nonorientable side was run);
-    ``nonorientable`` is one of planar, one, not_two (or None).
-    Exact values and reasons, when known, are in ``orientable_value`` /
-    ``nonorientable_value`` and ``orientable_reason`` /
-    ``nonorientable_reason``; a verdict of two also names the matched
-    ``table1_label``.
+    other_with_bounds; ``nonorientable`` is one of planar, one, not_two.
+    Both are always set.  Exact values and reasons, when known, are in
+    ``orientable_value`` / ``nonorientable_value`` and ``orientable_reason``
+    / ``nonorientable_reason``; an orientable verdict of two also names the
+    matched ``table1_label``.  The trail holds the orientable steps, then
+    the nonorientable ones.
     """
 
-    orientable: str | None
-    nonorientable: str | None
+    orientable: str
+    nonorientable: str
     trail: tuple[CertificateStep, ...]
     orientable_value: int | None = None
     nonorientable_value: int | None = None
@@ -72,11 +74,6 @@ class Verdict:
 
     def __post_init__(self):
         assert self.trail, "verdict must carry a nonempty trail"
-
-    @property
-    def reason(self) -> str | None:
-        """The reason of a one-surface verdict (the orientable one's first)."""
-        return self.orientable_reason or self.nonorientable_reason
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +91,32 @@ def _rule_planarity(inp: dict) -> tuple[str | None, str]:
     return None, "spectrum not within {1,2,3,4}: power graph nonplanar"
 
 
+@cache
+def _cyclic_clique(m: int) -> int:
+    """Clique number of the power graph of Z_m: c(1) = 1 and c(d) = phi(d)
+    + max c(e) over the proper divisors e of d, the generator counts summed
+    along the best chain of subgroups.  From m = 9 on it is at least 9
+    (K9 has genus 3), from m = 7 on at least 7 (K7 has crosscap 3)."""
+    c: dict[int, int] = {}
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+        c[d] = phi + max((c[e] for e in c if d % e == 0), default=0)
+    return c[m]
+
+
 def _rule_big_cyclic(inp: dict) -> tuple[str | None, str]:
     m = inp["max_order"]
     if m >= 9:
-        return ("at_least_three",
-                f"element of order {m} gives a K{m} subgraph: genus >= 3")
+        return ("at_least_three", f"element of order {m} gives a "
+                f"K{_cyclic_clique(m)} subgraph: genus >= 3")
     return None, "no element of order >= 9: rule gives no bound"
 
 
 def _rule_big_cyclic_crosscap(inp: dict) -> tuple[str | None, str]:
     m = inp["max_order"]
     if m >= 7:
-        return ("not_two",
-                f"element of order {m} gives a K{m} subgraph: crosscap >= 3")
+        return ("not_two", f"element of order {m} gives a "
+                f"K{_cyclic_clique(m)} subgraph: crosscap >= 3")
     return None, "no element of order >= 7: rule gives no bound"
 
 
@@ -422,44 +432,28 @@ _REASONS = {"MT1.57": "nonplanar and genus != 2; exact genus outside the "
             "L5.2": "crosscap > 2"}
 
 
-def _classify(g: FiniteGroup, rest):
-    """The order cap and T2.4, then ``rest`` for a nonplanar group.  Returns
-    the kind, its exact value, the trail and the reason read off it."""
+def classify(g: FiniteGroup) -> Verdict:
+    """Both surfaces: T2.4, then for a nonplanar group that surface's
+    procedure, each with its own trail; the orientable trail comes first."""
     if g.order > ORDER_CAP:
         raise OrderCapExceeded(
             f"classification checked for orders <= {ORDER_CAP}, got {g.order}")
-    trail: list[CertificateStep] = []
     spectrum = order_spectrum(g)
-    kind = (_apply(trail, "T2.4", _spectrum_inputs(spectrum))
-            or rest(g, spectrum, trail))
-    last = trail[-1]
-    reason = _REASONS.get(last.rule_id, "").format(**last.inputs) or None
-    return kind, _KINDS.index(kind) if kind in _KINDS else None, trail, reason
-
-
-def classify_orientable(g: FiniteGroup) -> Verdict:
-    kind, value, trail, reason = _classify(g, _orientable)
-    label = next((s.inputs["label"] for s in trail if "label" in s.inputs), None)
-    return Verdict(kind, None, tuple(trail), orientable_value=value,
-                   table1_label=label, orientable_reason=reason)
-
-
-def classify_nonorientable(g: FiniteGroup) -> Verdict:
-    kind, value, trail, reason = _classify(g, _nonorientable)
-    return Verdict(None, kind, tuple(trail), nonorientable_value=value,
-                   nonorientable_reason=reason)
-
-
-def classify(g: FiniteGroup) -> Verdict:
-    """Both surfaces at once, with the two trails concatenated."""
-    o = classify_orientable(g)
-    n = classify_nonorientable(g)
-    return Verdict(o.orientable, n.nonorientable, o.trail + n.trail,
-                   orientable_value=o.orientable_value,
-                   nonorientable_value=n.nonorientable_value,
-                   table1_label=o.table1_label,
-                   orientable_reason=o.orientable_reason,
-                   nonorientable_reason=n.nonorientable_reason)
+    trail: list[CertificateStep] = []
+    kinds, reasons = [], []
+    for rest in (_orientable, _nonorientable):
+        kinds.append(_apply(trail, "T2.4", _spectrum_inputs(spectrum))
+                     or rest(g, spectrum, trail))
+        last = trail[-1]
+        reasons.append(_REASONS.get(last.rule_id, "").format(**last.inputs)
+                       or None)
+    values = [_KINDS.index(k) if k in _KINDS else None for k in kinds]
+    # only the orientable procedure records a label (L4.2, T3.3)
+    label = next((s.inputs["label"] for s in trail if "label" in s.inputs),
+                 None)
+    return Verdict(*kinds, tuple(trail), orientable_value=values[0],
+                   nonorientable_value=values[1], table1_label=label,
+                   orientable_reason=reasons[0], nonorientable_reason=reasons[1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Exit codes: 0 success/exact, 2 bounds-only, 1 error (usage errors included).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -35,8 +36,8 @@ def _shared_flags():
                                      for _ in range(4))
     budget.add_argument("--budget-nodes", type=int, default=100_000_000,
                         metavar="N", help="search node cap")
-    budget.add_argument("--budget-seconds", type=float, default=600.0,
-                        metavar="S", help="search time cap")
+    budget.add_argument("--budget-seconds", type=float, default=math.inf,
+                        metavar="S", help="search time cap (default: none)")
     style.add_argument("--format", choices=("text", "records"), default="text",
                        help="output style")
     catalog.add_argument("--catalog", metavar="PATH",
@@ -68,8 +69,8 @@ def _catalog_groups(args):
             for e in sorted(ents, key=lambda e: (e.expected_order, e.label)))
 
 
-def _emit(args, lines, header: bool = True) -> None:
-    if header and not args.no_timestamp:
+def _emit(args, lines) -> None:
+    if not args.no_timestamp:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         print(f"# generated {stamp}")
     for ln in lines:
@@ -185,7 +186,7 @@ def cmd_report(args) -> int:
     for g in _catalog_groups(args):
         spectrum = str(order_spectrum(g))
         if args.target == "table1":
-            if cls.classify_orientable(g).orientable == "two":
+            if cls.classify(g).orientable == "two":
                 rows.append(f"{g.label:10s} {g.order:3d}  {spectrum}")
         elif cls.satisfies_table2(g):  # table2: the three-subgroup condition
             rows.append(f"{g.label:10s} {g.order:3d}  {spectrum:14s} "

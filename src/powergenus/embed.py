@@ -23,6 +23,7 @@ when the cover is disconnected.  The next-dart rule is fixed (see
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import astuple, dataclass
 from itertools import chain
@@ -224,10 +225,12 @@ def _connected_and_balanced(graph: Graph, rotations, twist) -> bool:
 
 @dataclass
 class Budget:
-    """Node-expansion and wall-clock caps for one search level."""
+    """Node-expansion and wall-clock caps for one search level.  By default
+    only the node cap applies, so whether a search ends exact does not
+    depend on the machine's speed."""
 
     max_nodes: int = 100_000_000
-    max_seconds: float = 600.0
+    max_seconds: float = math.inf
 
 
 @dataclass

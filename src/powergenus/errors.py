@@ -11,10 +11,6 @@ class ClosureCapExceeded(PowerGenusError):
     """Permutation closure grew past ``groups.MAX_ORDER`` elements."""
 
 
-class EmptyGeneratorList(PowerGenusError):
-    pass
-
-
 class InvalidParameter(PowerGenusError):
     """Named-family parameter outside its documented validity range."""
 

@@ -9,24 +9,22 @@ isomorphism invariants are whole-table numpy operations.
 The identity is always normalized to index 0, and all values are immutable
 after construction.
 
-A table is validated where it enters from outside the package:
-``FiniteGroup(table)`` and ``from_table``/``from_text``.  The constructors
-below build groups by construction from groups or from checked parameters,
-so they pass ``validate=False``; each docstring says why its table is a
-group.
+A table is validated where it enters from outside the package, which is
+only through ``FiniteGroup(table)``.  The constructors below build groups
+by construction from groups or from checked parameters, so they pass
+``validate=False``; each docstring says why its table is a group.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ClosureCapExceeded,
-    EmptyGeneratorList,
     InvalidParameter,
     NotAHomomorphism,
     NotAnAutomorphism,
@@ -105,10 +103,10 @@ class FiniteGroup:
 
     ``table[i, j]`` is the index of the product i*j; element 0 is the
     identity; inverses and powers are rows of the cached ``inverses()`` and
-    ``powers()``.  Instances are immutable and hashable by identity of content.
+    ``powers()``.  Instances are immutable.
     """
 
-    __slots__ = ("table", "label", "_orders", "_inv", "_powers", "_hash")
+    __slots__ = ("table", "label", "_orders", "_inv", "_powers")
 
     def __init__(self, table: np.ndarray, label: str = "", validate: bool = True):
         table = (_outside_table(table) if validate
@@ -119,7 +117,6 @@ class FiniteGroup:
         self._orders = None
         self._inv = None
         self._powers = None
-        self._hash = None
         if validate:
             self.validate()
 
@@ -128,14 +125,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return self.table.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteGroup) and np.array_equal(self.table, other.table)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.table.tobytes())
-        return self._hash
 
     def __repr__(self) -> str:
         name = self.label or "?"
@@ -214,10 +203,9 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class OrderSpectrum:
-    """The set of element orders of a group, with multiplicities."""
+    """The set of element orders of a group, in increasing order."""
 
     orders: tuple[int, ...]
-    multiplicities: dict[int, int] = field(compare=False)
 
     @property
     def as_set(self) -> frozenset[int]:
@@ -260,25 +248,6 @@ class SixProfile:
 # constructors
 # ---------------------------------------------------------------------------
 
-def from_table(table, label: str = "") -> FiniteGroup:
-    """Build a group from a raw table, normalizing the identity to index 0."""
-    t = _outside_table(table)
-    n = t.shape[0]
-    _check_order(n)
-    idx = np.arange(n)
-    two_sided = (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
-    if not two_sided.any():
-        raise InvalidParameter("table has no two-sided identity")
-    ident = int(np.argmax(two_sided))
-    if ident != 0:
-        perm = idx.copy()
-        perm[[0, ident]] = perm[[ident, 0]]  # relabel by the transposition (0 e)
-        new = np.empty_like(t)
-        new[np.ix_(perm, perm)] = perm[t]
-        t = new
-    return FiniteGroup(t, label=label)
-
-
 def _perm_group(perms, label: str) -> FiniteGroup:
     """The group of the given distinct permutations (closed under
     composition), with the identity at index 0 and the others in their
@@ -319,7 +288,7 @@ def from_generators(degree: int, generators, label: str = "") -> FiniteGroup:
     _check_degree(degree)
     gens = [tuple(g) for g in generators]
     if not gens:
-        raise EmptyGeneratorList("need at least one generator")
+        raise InvalidParameter("need at least one generator")
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise InvalidParameter(f"not a permutation of degree {degree}: {g}")
@@ -521,9 +490,8 @@ def cyclic_action(n_grp: FiniteGroup, h_grp: FiniteGroup, gen_auto):
 # ---------------------------------------------------------------------------
 
 def order_spectrum(g: FiniteGroup) -> OrderSpectrum:
-    counts = np.bincount(g.element_orders())
-    vals = np.nonzero(counts)[0].tolist()
-    return OrderSpectrum(tuple(vals), {v: int(counts[v]) for v in vals})
+    orders = np.flatnonzero(np.bincount(g.element_orders()))
+    return OrderSpectrum(tuple(orders.tolist()))
 
 
 def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:
@@ -634,38 +602,6 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     if sorted(fpa) != sorted(fpb):
         return False
     return _iso_search(a, b, fpa, fpb) is not None
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def to_text(g: FiniteGroup) -> str:
-    lines = [f"group {g.order} {g.label}".rstrip()]
-    for row in g.table:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> FiniteGroup:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("group "):
-        raise ParseError("expected 'group <order> [label]' header")
-    head = lines[0].split(maxsplit=2)
-    try:
-        n = int(head[1])
-    except (IndexError, ValueError):
-        raise ParseError("bad group header") from None
-    label = head[2] if len(head) > 2 else ""
-    if len(lines) != n + 1:
-        raise ParseError(f"expected {n} table rows, got {len(lines) - 1}")
-    try:
-        table = [[int(v) for v in ln.split()] for ln in lines[1:]]
-    except ValueError:
-        raise ParseError("non-integer table entry") from None
-    if any(len(row) != n for row in table):
-        raise ParseError("ragged table row")
-    return from_table(table, label=label)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

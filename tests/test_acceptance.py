@@ -84,8 +84,7 @@ def test_criterion_3_block_composition():
 def test_criterion_4_table1():
     twos = []
     for e in cat.entries():
-        v = cls.classify_orientable(cat.get(e.label))
-        if v.orientable == "two":
+        if cls.classify(cat.get(e.label)).orientable == "two":
             twos.append(e.label)
     ok = sorted(twos) == sorted(cat.TABLE1_LABELS)
     _line(4, ok, "exactly the 11 genus-two labels over the full catalog")
@@ -123,8 +122,7 @@ def test_criterion_7_crosscap_never_two():
     exact_checked = 0
     for e in cat.entries():
         g = cat.get(e.label)
-        v = cls.classify_nonorientable(g)
-        ok = ok and v.nonorientable_value != 2
+        ok = ok and cls.classify(g).nonorientable_value != 2
         per = [(gn.genus_exact(b, budget), gn.crosscap_exact(b, budget))
                for b in gn.blocks(pg.power_graph(g))]
         if all(o.kind == "exact" and c.kind == "exact" for o, c in per):

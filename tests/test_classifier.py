@@ -1,5 +1,6 @@
 import hashlib
 
+import networkx as nx
 import pytest
 
 import powergenus.catalog as cat
@@ -7,7 +8,8 @@ import powergenus.classifier as cls
 import powergenus.groups as gr
 from powergenus.errors import (InternalContradiction, OrderCapExceeded,
                                UnknownRule)
-from powergenus.genus import Budget
+from powergenus.genus import Budget, kn_crosscap, kn_genus
+from powergenus.powergraph import power_graph
 
 
 def test_reduction_set_q16():
@@ -47,37 +49,53 @@ def test_reduction_set_s3():
 
 
 def test_orientable_examples():
-    v = cls.classify_orientable(cat.get("[8,1]"))
+    v = cls.classify(cat.get("[8,1]"))
     assert v.orientable == "two" and v.table1_label == "[8,1]"
 
-    v = cls.classify_orientable(cat.get("[12,5]"))
+    v = cls.classify(cat.get("[12,5]"))
     assert v.orientable == "two" and v.table1_label == "[12,5]"
     assert any(s.rule_id == "L4.3" for s in v.trail)
     assert any(s.rule_id == "T3.3" for s in v.trail)
 
-    assert cls.classify_orientable(gr.cyclic(12)).orientable == "at_least_three"
-    assert cls.classify_orientable(gr.symmetric(3)).orientable == "planar"
-    assert cls.classify_orientable(gr.dihedral(12)).orientable == "one"
-    assert cls.classify_orientable(gr.cyclic(7)).orientable == "other_with_bounds"
+    assert cls.classify(gr.cyclic(12)).orientable == "at_least_three"
+    assert cls.classify(gr.symmetric(3)).orientable == "planar"
+    assert cls.classify(gr.dihedral(12)).orientable == "one"
+    assert cls.classify(gr.cyclic(7)).orientable == "other_with_bounds"
 
 
 def test_nonorientable_examples():
-    v = cls.classify_nonorientable(cat.get("[12,5]"))
+    v = cls.classify(cat.get("[12,5]"))
     assert v.nonorientable == "not_two"
     assert any(s.rule_id == "L5.2" for s in v.trail)
 
-    v = cls.classify_nonorientable(gr.cyclic(8))
+    v = cls.classify(gr.cyclic(8))
     assert v.nonorientable == "not_two"
     assert any(s.rule_id == "L5.1" for s in v.trail)
 
-    assert cls.classify_nonorientable(gr.cyclic(4)).nonorientable == "planar"
-    v = cls.classify_nonorientable(gr.dihedral(10))
+    assert cls.classify(gr.cyclic(4)).nonorientable == "planar"
+    v = cls.classify(gr.dihedral(10))
     assert v.nonorientable == "one" and v.nonorientable_value == 1
+
+
+def test_cyclic_clique_number():
+    """L4.1 and L5.1 name the clique number of the power graph of Z_m, and
+    it is large enough for their bounds over every order they can meet."""
+    for m in range(1, 41):
+        graph = power_graph(gr.cyclic(m)).to_networkx()
+        clique = max(len(c) for c in nx.find_cliques(graph))
+        assert cls._cyclic_clique(m) == clique, m
+    assert kn_genus(9) == 3 and kn_crosscap(7) == 3
+    assert all(cls._cyclic_clique(m) >= 9 for m in range(9, cls.ORDER_CAP + 1))
+    assert all(cls._cyclic_clique(m) >= 7 for m in range(7, cls.ORDER_CAP + 1))
+    v = cls.classify(gr.cyclic(12))
+    assert [s.conclusion for s in v.trail if s.rule_id in ("L4.1", "L5.1")] == [
+        "element of order 12 gives a K9 subgraph: genus >= 3",
+        "element of order 12 gives a K9 subgraph: crosscap >= 3"]
 
 
 def test_never_exact_two_nonorientable():
     for e in cat.entries():
-        v = cls.classify_nonorientable(cat.get(e.label))
+        v = cls.classify(cat.get(e.label))
         assert not (v.nonorientable == "exact" and v.nonorientable_value == 2)
         assert v.nonorientable_value != 2
 
@@ -85,7 +103,7 @@ def test_never_exact_two_nonorientable():
 def test_table1_exactly():
     twos = []
     for e in cat.entries():
-        v = cls.classify_orientable(cat.get(e.label))
+        v = cls.classify(cat.get(e.label))
         if v.orientable == "two":
             twos.append((e.label, v.table1_label))
     assert sorted(lbl for lbl, _ in twos) == sorted(cat.TABLE1_LABELS)
@@ -109,9 +127,7 @@ def test_replay_unknown_rule():
 
 def test_order_cap():
     with pytest.raises(OrderCapExceeded):
-        cls.classify_orientable(gr.cyclic(145))
-    with pytest.raises(OrderCapExceeded):
-        cls.classify_nonorientable(gr.cyclic(145))
+        cls.classify(gr.cyclic(145))
 
 
 def test_verify_lemma_registry():
@@ -189,7 +205,7 @@ def _pinned_groups():
 
 #: sha256 of every classification of ``_pinned_groups``, as hashed below.
 TRAIL_DIGEST = \
-    "7d32ca2198186e593e5906cddc96ce56da7e151ac2684a0e707cc530fee103a1"
+    "af1c8c63ea26473956fc812a5bcb405cb972dc52b8c9420cf63b6127e8964ec1"
 
 
 def test_trails_pinned():
@@ -199,63 +215,68 @@ def test_trails_pinned():
     groups = _pinned_groups()
     assert len(groups) == 204
     for name, g in groups:
-        for fn in (cls.classify, cls.classify_orientable,
-                   cls.classify_nonorientable):
-            try:
-                v = fn(g)
-            except OrderCapExceeded as exc:
-                rec = (name, fn.__name__, type(exc).__name__, str(exc))
-            else:
-                rec = (name, fn.__name__,
-                       (v.orientable, v.nonorientable, v.orientable_value,
-                        v.nonorientable_value, v.table1_label, v.reason),
-                       [(s.rule_id, sorted(s.inputs.items()), s.conclusion)
-                        for s in v.trail])
-            h.update(repr(rec).encode() + b"\n")
+        try:
+            v = cls.classify(g)
+        except OrderCapExceeded as exc:
+            rec = (name, type(exc).__name__, str(exc))
+        else:
+            rec = (name,
+                   (v.orientable, v.nonorientable, v.orientable_value,
+                    v.nonorientable_value, v.table1_label,
+                    v.orientable_reason, v.nonorientable_reason),
+                   [(s.rule_id, sorted(s.inputs.items()), s.conclusion)
+                    for s in v.trail])
+        h.update(repr(rec).encode() + b"\n")
     assert h.hexdigest() == TRAIL_DIGEST
 
 
-def _contradiction(classify, g, rule_id, inputs):
+def _contradiction(g, rule_id, inputs):
     """classify(g) raises InternalContradiction with the rule's conclusion
     on ``inputs`` as its message."""
     expected = cls.replay_step(cls.CertificateStep(rule_id, inputs, ""))
     with pytest.raises(InternalContradiction) as info:
-        classify(g)
+        cls.classify(g)
     assert str(info.value) == expected
 
 
-@pytest.mark.parametrize("classify", [cls.classify_orientable,
-                                      cls.classify_nonorientable])
-def test_two_hexagons_contradict(monkeypatch, classify):
+@pytest.mark.parametrize("surface", [
+    pytest.param("orientable", id="classify_orientable"),
+    pytest.param("nonorientable", id="classify_nonorientable")])
+def test_two_hexagons_contradict(monkeypatch, surface):
+    """L3.1 is reached by both procedures; for the nonorientable one the
+    orientable procedure, which runs first, is stubbed out."""
     monkeypatch.setattr(cls, "six_profile", lambda g: gr.SixProfile(2, (3,)))
-    _contradiction(classify, gr.cyclic(6), "L3.1",
+    if surface == "nonorientable":
+        monkeypatch.setattr(cls, "_orientable",
+                            lambda g, spectrum, trail: "many")
+    _contradiction(gr.cyclic(6), "L3.1",
                    {"six_count": 2, "pairwise_intersections": (3,)})
 
 
 def test_three_hexagons_mixed_intersections_contradict(monkeypatch):
     monkeypatch.setattr(cls, "six_profile",
                         lambda g: gr.SixProfile(3, (3, 1, 1)))
-    _contradiction(cls.classify_orientable, cat.get("[12,5]"), "L4.3",
+    _contradiction(cat.get("[12,5]"), "L4.3",
                    {"six_count": 3, "pairwise_intersections": (3, 1, 1)})
 
 
 def test_four_hexagons_disjoint_pairing_contradicts(monkeypatch):
     monkeypatch.setattr(cls, "_has_disjoint_pairing", lambda subs: True)
-    _contradiction(cls.classify_orientable, cat.get("Z3xZ6"), "T3.4",
+    _contradiction(cat.get("Z3xZ6"), "T3.4",
                    {"six_count": 4, "pairwise_intersections": (2,) * 6,
                     "has_disjoint_pairing": True})
 
 
 def test_unmatched_2group_contradicts(monkeypatch):
     monkeypatch.setattr(cls, "_match_catalog", lambda g, labels: None)
-    _contradiction(cls.classify_orientable, cat.get("[8,1]"), "L4.2",
+    _contradiction(cat.get("[8,1]"), "L4.2",
                    {"count8": 1, "label": None})
 
 
 def test_unmatched_table2_group_contradicts(monkeypatch):
     monkeypatch.setattr(cls, "_match_catalog", lambda g, labels: None)
     with pytest.raises(InternalContradiction) as info:
-        cls.classify_orientable(cat.get("[12,5]"))
+        cls.classify(cat.get("[12,5]"))
     assert str(info.value) == (
         "three order-6 subgroups with all pairwise intersections of order 3, "
         "but no catalog match: impossible for a group of order 12 <= 144")

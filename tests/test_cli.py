@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -184,6 +185,22 @@ def test_python_m_powergenus():
     proc = module_run("group-info", "[16,9]", "--no-timestamp")
     assert proc.returncode == 0 and "order:        16" in proc.stdout
     assert module_run("classify", "--bogus").returncode == 1
+
+
+def test_budget_has_no_clock_by_default(tmp_path, capsys):
+    """Only the node cap ends a search unless --budget-seconds is given, so
+    whether a result is exact does not depend on the machine's speed; a
+    nonpositive time cap is still refused."""
+    assert em.Budget().max_seconds == math.inf
+    parse = cli.build_parser().parse_args
+    assert cli._budget(parse(["genus", "k.edges"])) == em.Budget()
+    timed = parse(["genus", "k.edges", "--budget-seconds", "30"])
+    assert cli._budget(timed).max_seconds == 30
+    edge_file = tmp_path / "k5.edges"
+    edge_file.write_text(pg.to_edge_list(pg.complete_graph(5)))
+    code, out, err = run(capsys, "genus", str(edge_file), "--budget-seconds",
+                         "0", "--no-timestamp")
+    assert code == 1 and out == "" and "budget caps must be positive" in err
 
 
 def test_genus_nonorientable(tmp_path, capsys):
@@ -423,8 +440,10 @@ def test_perm_degree_below_one(capsys, recipe):
     ("perm(7; (0 1 2 3 4 5 6); (0 1))", "error: closure exceeded 1024"),
     ("semidirect(cyclic(3),cyclic(2),power" + "5" * 5000 + ")",
      "error: power exponent too long"),
+    ("perm(3)", "error: need at least one generator"),
 ])
 def test_oversized_recipe_refused(capsys, recipe, error):
+    """Recipes too large to build, or with no generators, are errors."""
     code, out, err = run(capsys, "group-info", recipe, "--no-timestamp")
     assert code == 1 and out == "" and err.startswith(error)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import powergenus.catalog as cat
 import powergenus.embed as em
-import powergenus.groups as gr
 import powergenus.powergraph as pg
 from powergenus.errors import PowerGenusError
 
@@ -47,15 +46,6 @@ _RECIPES = st.recursive(
         st.builds(lambda n, h, action: f"semidirect({n},{h},{action})",
                   inner, inner, _ACTIONS)),
     max_leaves=8)
-
-
-def _group_texts():
-    """A 'group n' header and n rows of n entries."""
-    def table(n):
-        row = st.lists(_numbers(n), min_size=n, max_size=n).map(" ".join)
-        return st.lists(row, min_size=n, max_size=n).map(
-            lambda rows: "\n".join([f"group {n}"] + rows))
-    return st.integers(0, 4).flatmap(table)
 
 
 def _edge_texts():
@@ -146,8 +136,6 @@ def _catalog_texts():
 
 #: parser, then its token lines and its formatted texts
 _PARSERS = {
-    "groups.from_text": (gr.from_text, _lines(["group", "x"]),
-                         _group_texts()),
     "catalog.from_text": (cat.from_text,
                           _lines(["|", ",", "[8,1]", "cyclic(4)", "two", "#"]),
                           _catalog_texts()),
