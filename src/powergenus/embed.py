@@ -18,15 +18,22 @@ embedding lifts to exactly two disk faces of the cover, so the base face
 count is half the cover's, and the base embedding is orientable exactly
 when the cover is disconnected.  The next-dart rule is fixed (see
 ``_trace_states``) so identical inputs always produce identical traces.
+``verify_certificate`` reads the writer's exact layout in bulk into flat
+lists for ``_trace_flat``; other layouts go through the line reader.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import re
 import time
 from dataclasses import astuple, dataclass
-from itertools import chain
+from functools import partial
+from itertools import accumulate, chain, repeat
+from operator import add, lt, mul
+
+import numpy as np
 
 from .errors import Disconnected, InvalidRotation, ParseError
 from .powergraph import Graph, is_edge_order
@@ -133,14 +140,20 @@ class FaceTrace:
         return self.euler_genus if not self.orientable else None
 
 
-def _next_arrays(rotations, m: int):
-    nxt = [-1] * (2 * m)
-    prv = [-1] * (2 * m)
-    for rot in rotations:
-        for d, d2 in zip(rot, rot[1:] + rot[:1]):
-            nxt[d] = d2
-            prv[d2] = d
-    return nxt, prv
+def _orbits(succ, states):
+    """The orbits of ``succ`` that ``states`` meet, each walked once: (orbit
+    id per state, -1 off them; the first given state on each)."""
+    face = [-1] * len(succ)
+    firsts = []
+    for s0 in states:
+        if face[s0] < 0:
+            face[s0] = nface = len(firsts)
+            firsts.append(s0)
+            s = succ[s0]
+            while s != s0:
+                face[s] = nface
+                s = succ[s]
+    return face, firsts
 
 
 def _trace_states(darts, nxt, prv, twist):
@@ -157,18 +170,7 @@ def _trace_states(darts, nxt, prv, twist):
         e, t = d ^ 1, twist[d >> 1]
         succ[2 * d + t] = 2 * nxt[e]
         succ[2 * d + 1 - t] = 2 * prv[e] + 1
-    face = [-1] * len(succ)
-    firsts = []
-    for d in darts:
-        for s0 in (2 * d, 2 * d + 1):
-            if face[s0] < 0:
-                nface = len(firsts)
-                firsts.append(s0)
-                face[s0] = nface
-                s = succ[s0]
-                while s != s0:
-                    face[s] = nface
-                    s = succ[s]
+    face, firsts = _orbits(succ, [2 * d + i for d in darts for i in (0, 1)])
     return face, len(firsts), firsts
 
 
@@ -176,14 +178,46 @@ def trace_faces(graph: Graph, rs) -> FaceTrace:
     """Trace all faces of a (signed) rotation system for a connected graph:
     the face count, the Euler genus and orientability."""
     validate_rotation(graph, rs)
-    if graph.m == 0:
-        raise InvalidRotation("face tracing needs at least one edge")
     twist = [int(s != 1) for s in rs.signs] if rs.is_signed() else [0] * graph.m
-    # orientable iff the double cover is disconnected, which for a connected
-    # base is equivalent to the signed graph being balanced
-    orientable = _connected_and_balanced(graph, rs.rotations, twist)
-    nxt, prv = _next_arrays(rs.rotations, graph.m)
-    face, norbits, firsts = _trace_states(range(2 * graph.m), nxt, prv, twist)
+    return _trace_flat(graph.n, list(chain.from_iterable(graph.edges)),
+                       list(chain.from_iterable(rs.rotations)),
+                       list(map(len, rs.rotations)), twist)
+
+
+def _trace_flat(n: int, ends, darts, lens, twist) -> FaceTrace:
+    """``trace_faces`` on validated flat lists: ``ends[d]`` the tail of dart
+    d, ``darts`` the rotations of vertices 0, 1, ... in turn, ``lens[v]``
+    the length of v's, ``twist[e]`` 1 on a negative edge and 0 elsewhere."""
+    m = len(twist)
+    if m == 0:
+        raise InvalidRotation("face tracing needs at least one edge")
+    stops = list(accumulate(lens))
+    # one search from vertex 0 must reach every vertex; orientable iff every
+    # cycle has an even number of twists (a disconnected double cover)
+    color = [0] + [-1] * (n - 1)
+    stack = [0]
+    orientable = True
+    while stack:
+        v = stack.pop()
+        for d in darts[stops[v] - lens[v]:stops[v]]:
+            w, c = ends[d ^ 1], color[v] ^ twist[d >> 1]
+            if color[w] < 0:
+                color[w] = c
+                stack.append(w)
+            elif color[w] != c:
+                orientable = False
+    if -1 in color:
+        raise Disconnected("face tracing requires a connected graph")
+    # each cover state's successor (see _trace_states), from each dart d
+    # and d2, the dart after it at its vertex
+    after = darts[1:] + darts[:1]
+    for stop, k in zip(stops, lens):  # connected: every k is at least 1
+        after[stop - 1] = darts[stop - k]
+    succ = [0] * (4 * m)
+    for d, d2 in zip(darts, after):
+        succ[2 * (d ^ 1) + twist[d >> 1]] = 2 * d2
+        succ[2 * (d2 ^ 1) + 1 - twist[d2 >> 1]] = 2 * d + 1
+    face, firsts = _orbits(succ, range(4 * m))
     # the deck transformation pairs each face's two lifts: state (d, i)
     # pairs with (alpha(d), 1 ^ i ^ twist(d)), on a distinct cover face
     pairs = 0
@@ -192,31 +226,8 @@ def trace_faces(graph: Graph, rs) -> FaceTrace:
         j = face[2 * (d ^ 1) + (1 ^ (s & 1) ^ twist[d >> 1])]
         assert j != i, "face lift paired with itself"
         pairs += i < j
-    assert 2 * pairs == norbits
-    return FaceTrace(pairs, 2 - (graph.n - graph.m + pairs), orientable)
-
-
-def _connected_and_balanced(graph: Graph, rotations, twist) -> bool:
-    """One search from vertex 0 along the validated rotation: raise
-    Disconnected unless it reaches every vertex, and return whether every
-    cycle has an even number of twisted edges."""
-    tails = list(chain.from_iterable(graph.edges))  # d's head is tails[d ^ 1]
-    color = [-1] * graph.n
-    color[0] = 0
-    stack = [0]
-    balanced = True
-    while stack:
-        v = stack.pop()
-        for d in rotations[v]:
-            w, c = tails[d ^ 1], color[v] ^ twist[d >> 1]
-            if color[w] == -1:
-                color[w] = c
-                stack.append(w)
-            elif color[w] != c:
-                balanced = False
-    if -1 in color:
-        raise Disconnected("face tracing requires a connected graph")
-    return balanced
+    assert 2 * pairs == len(firsts)
+    return FaceTrace(pairs, 2 - (n - m + pairs), orientable)
 
 
 # ---------------------------------------------------------------------------
@@ -796,10 +807,59 @@ def certificate_from_text(text: str):
     return Graph(n, tuple(edges)), RotationSystem(tuple(rots), signs), claim
 
 
+#: a number as the writer writes it, short enough for int64
+_NUM = "(?:0|[1-9][0-9]{0,17})"
+#: the exact layout ``certificate_to_text`` writes, one group per block
+_LAYOUT = re.compile(
+    rf"embedding ({_NUM}) ({_NUM}) (orientable|signed)\n"
+    rf"((?:{_NUM} {_NUM}\n)*)"
+    rf"((?:rot {_NUM}:(?: {_NUM})+\n)*)"
+    r"(?:signs((?: -?1)+)\n)?"
+    rf"claim faces=({_NUM}) euler_genus=({_NUM}) (orientable|nonorientable)\n")
+_ROT = re.compile(r"rot ([0-9]+):([^\n]*)")
+_numbers = partial(np.fromstring, dtype=np.int64, sep=" ")  # one C call
+
+
+def _read_flat(text: str):
+    """(claim, ``_trace_flat`` arguments) of a certificate in the writer's
+    exact layout, checked as the line reader and ``validate_rotation`` do;
+    None on any other layout or fault, for the line reader to name."""
+    match = _LAYOUT.fullmatch(text)
+    if match is None:
+        return None
+    (n_s, m_s, kind, edge_block, rot_block, sign_block,
+     faces, euler, orient) = match.groups()
+    n, m = int(n_s), int(m_s)
+    ends = _numbers(edge_block).tolist()
+    rots = _ROT.findall(rot_block)
+    signed = sign_block is not None
+    # sizes first: allocate nothing for a count only the header states
+    if len(ends) != 2 * m or len(rots) != n or signed != (kind == "signed"):
+        return None
+    tails, heads = ends[0::2], ends[1::2]
+    keys = list(map(add, map(mul, tails, repeat(n)), heads))  # edge order
+    darts = _numbers("".join([rest for _, rest in rots])).tolist()
+    lens = [rest.count(" ") for _, rest in rots]
+    twist = ((1 - _numbers(sign_block)) >> 1).tolist() if signed else [0] * m
+    # an endpoint v >= n fails the tail check: no rot line lists v's darts
+    if (len(twist) != m or not all(map(lt, tails, heads))
+            or not all(map(lt, keys, keys[1:]))
+            or [v for v, _ in rots] != list(map(str, range(n)))
+            or sorted(darts) != list(range(2 * m))  # each dart once
+            or list(map(ends.__getitem__, darts))  # each at its tail
+            != list(chain.from_iterable(map(repeat, range(n), lens)))):
+        return None
+    return (FaceTrace(int(faces), int(euler), orient == "orientable"),
+            (n, ends, darts, lens, twist))
+
+
 def verify_certificate(text: str) -> tuple[bool, str]:
     """Re-trace a certificate and check its claim; returns (ok, message)."""
-    graph, rs, claim = certificate_from_text(text)
-    tr = trace_faces(graph, rs)
+    if (flat := _read_flat(text)) is not None:
+        claim, tr = flat[0], _trace_flat(*flat[1])
+    else:
+        graph, rs, claim = certificate_from_text(text)
+        tr = trace_faces(graph, rs)
     if claim != tr:  # name the first field that differs
         key, said, got = next(d for d in zip(
             ("faces", "euler_genus", "orientable"), astuple(claim), astuple(tr))

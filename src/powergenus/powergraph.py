@@ -34,7 +34,7 @@ class Graph:
             if any(u == v for u, v in edges):
                 raise InvalidVertex("loops are not allowed")
             edges = tuple(sorted({(min(u, v), max(u, v)) for u, v in edges}))
-        if edges and not (0 <= edges[0][0] and max(v for _, v in edges) < self.n):
+        if edges and not (0 <= edges[0][0] and max(map(operator.itemgetter(1), edges)) < self.n):
             raise InvalidVertex("edge endpoint out of range")
         object.__setattr__(self, "edges", edges)
         if not self.labels:

@@ -350,6 +350,17 @@ def _random_connected(n, rnd):
     return pg.Graph(n, tuple(sorted(edges)))
 
 
+def _next_arrays(rotations, m):
+    """Each dart's rotation successor and predecessor at its vertex."""
+    nxt = [-1] * (2 * m)
+    prv = [-1] * (2 * m)
+    for rot in rotations:
+        for d, d2 in zip(rot, rot[1:] + rot[:1]):
+            nxt[d] = d2
+            prv[d2] = d
+    return nxt, prv
+
+
 def _dict_trace_states(darts, nxt, prv, twist):
     """The dict-based orbit decomposition of the double-cover face
     permutation that the list-based ``_trace_states`` replaced, kept as
@@ -403,7 +414,7 @@ def test_list_trace_matches_dict_trace(n, rnd):
     graph = _random_connected(n, rnd)
     rots = _random_rotation(graph, rnd)
     twist = [rnd.randint(0, 1) for _ in range(graph.m)]
-    nxt, prv = em._next_arrays(rots, graph.m)
+    nxt, prv = _next_arrays(rots, graph.m)
     darts = range(2 * graph.m)
     face, norbits, firsts = em._trace_states(darts, nxt, prv, twist)
     ref, ref_norbits, ref_firsts = _dict_trace_states(darts, nxt, prv, twist)
@@ -414,6 +425,44 @@ def test_list_trace_matches_dict_trace(n, rnd):
     assert tr.face_count == ref_norbits // 2
     assert tr.euler_genus == 2 - (graph.n - graph.m + ref_norbits // 2)
     assert tr.orientable == _adjacency_balanced(graph, twist)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 9), st.booleans(), st.randoms(use_true_random=False))
+def test_flat_tracer_verifies_written_certificates(n, signed, rnd):
+    """A certificate written for a random connected graph with a random
+    rotation and random twists is read in bulk, not by the line reader,
+    and verifies with the face count of the dict trace; a claim one face
+    over is refused with the field named."""
+    graph = _random_connected(n, rnd)
+    rots = _random_rotation(graph, rnd)
+    twist = [rnd.randint(0, 1) if signed else 0 for _ in range(graph.m)]
+    rs = em.RotationSystem(rots, tuple(1 - 2 * t for t in twist)
+                           if signed else None)
+    tr = em.trace_faces(graph, rs)
+    text = em.certificate_to_text(graph, rs, tr)
+    claim, lists = em._read_flat(text)
+    nxt, prv = _next_arrays(rots, graph.m)
+    _, norbits, _ = _dict_trace_states(range(2 * graph.m), nxt, prv, twist)
+    assert claim == em._trace_flat(*lists) == tr
+    assert tr.face_count == norbits // 2
+    ok, msg = em.verify_certificate(text)
+    assert ok and msg.startswith(f"verified: faces={tr.face_count} ")
+    over = em.FaceTrace(tr.face_count + 1, tr.euler_genus, tr.orientable)
+    assert em.verify_certificate(em.certificate_to_text(graph, rs, over)) == (
+        False, f"claim mismatch: faces claimed {tr.face_count + 1}, "
+        f"traced {tr.face_count}")
+
+
+def test_bulk_read_disconnected_certificate():
+    """Two disjoint edges in the writer's layout pass the bulk reader's
+    checks, and the flat tracer refuses them as the line reader's path
+    does."""
+    text = ("embedding 4 2 orientable\n0 1\n2 3\nrot 0: 0\nrot 1: 1\n"
+            "rot 2: 2\nrot 3: 3\nclaim faces=2 euler_genus=0 orientable\n")
+    assert em._read_flat(text) is not None
+    with pytest.raises(Disconnected, match="requires a connected graph"):
+        em.verify_certificate(text)
 
 
 def test_search_trees_pinned():
@@ -488,7 +537,7 @@ def test_gap_corners_on_mirror_faces(n, signed, rnd):
     of the second.  The search's delta rule relies on it."""
     graph = _random_connected(n, rnd)
     twist = [rnd.randint(0, 1) if signed else 0 for _ in range(graph.m)]
-    nxt, prv = em._next_arrays(_random_rotation(graph, rnd), graph.m)
+    nxt, prv = _next_arrays(_random_rotation(graph, rnd), graph.m)
     face, _, _ = em._trace_states(range(2 * graph.m), nxt, prv, twist)
     for a in range(2 * graph.m):
         assert face[2 * nxt[a]] != face[2 * a + 1]

@@ -3,8 +3,12 @@ own errors: on arbitrary text, on lines of its format's tokens, and on text
 laid out in its format, each may raise ``PowerGenusError`` and nothing
 else."""
 
+import re
+from types import SimpleNamespace
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powergenus.catalog as cat
@@ -173,3 +177,112 @@ def test_layout_certificates_raise_only_package_errors(text):
         em.verify_certificate(text)
     except PowerGenusError:
         pass
+
+
+#: tokens ``int`` reads that the writer never writes (a leading zero, a
+#: plus, an underscore, a negative, a non-ASCII digit) and a number past
+#: int64; ``{}`` is the number they replace
+_NONCANONICAL = ["0{}", "+{}", "1_0", "1" * 25, "-{}", "\u0661"]
+
+
+@st.composite
+def _mutated_certificate_texts(draw):
+    """Certificates that ``certificate_to_text`` writes, for random graphs
+    with no isolated vertex (whose empty rotation the bulk reader leaves
+    to the line reader) and random rotations, signed or not, and a true or
+    false claim; then at most one change: edge lines out of order or the
+    last written ``v u`` (the darts numbered by line, so each rotation
+    still lists its darts at their tails), one edge line more than the
+    header and the rotations count, the header's kind swapped, two ``rot``
+    lines' vertex numbers swapped, a number made non-canonical, a doubled
+    space, a blank line, one rotation's last dart moved to another vertex,
+    or a sign 2, dropped or added (always signed then)."""
+    change = draw(st.sampled_from(["none", "edges", "extra", "kind",
+                                   "label", "number", "space", "blank",
+                                   "dart", "sign"]))
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # an edge from each vertex v to another vertex, then any more edges
+    partners = draw(st.lists(st.integers(1, n - 1), min_size=n, max_size=n))
+    edges = sorted({tuple(sorted((v, (v + k) % n)))
+                    for v, k in enumerate(partners)}.union(
+        draw(st.lists(st.sampled_from(pairs), unique=True))))
+    if change == "edges" and draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    elif change == "edges":  # the only edge a reversal leaves in key order
+        edges[-1] = edges[-1][::-1]
+    darts = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        darts[u].append(2 * e)
+        darts[v].append(2 * e + 1)
+    rots = [list(draw(st.permutations(ds))) for ds in darts]
+    signs = st.lists(st.sampled_from([1, -1]), min_size=len(edges),
+                     max_size=len(edges))
+    signs = draw(signs if change == "sign" else st.none() | signs)
+    try:
+        tr = em.trace_faces(pg.Graph(n, tuple(edges)), em.RotationSystem(
+            tuple(map(tuple, rots)), signs and tuple(signs)))
+    except PowerGenusError:
+        tr = em.FaceTrace(1, 0, True)
+    if draw(st.booleans()):
+        tr = em.FaceTrace(tr.face_count + draw(st.sampled_from([-1, 1])),
+                          tr.euler_genus, tr.orientable)
+    if change == "dart":
+        v, w = draw(st.permutations(range(n)))[:2]
+        if rots[v]:
+            rots[w].append(rots[v].pop())
+    m = len(edges)
+    if change == "extra" and m > 1:  # the last edge's darts go too
+        m -= 1
+        rots = [[d for d in rot if d < 2 * m] for rot in rots]
+    if change == "sign" and signs:
+        i = draw(st.integers(0, len(signs) - 1))
+        signs[i:i + 1] = draw(st.sampled_from([[2], [], [1, 1]]))
+    # the writer reads only n, m and the edges of its graph
+    graph = SimpleNamespace(n=n, m=m, edges=edges)
+    text = em.certificate_to_text(graph, em.RotationSystem(
+        tuple(map(tuple, rots)), signs and tuple(signs)), tr)
+    if change == "kind":
+        kind = "orientable" if signs else "signed"
+        text = re.sub("[a-z]+\n", kind + "\n", text, count=1)
+    if change == "label":
+        v, w = draw(st.permutations(range(n)))[:2]
+        text = re.sub(f"rot ({v}|{w}):", lambda r: f"rot {v + w - int(r[1])}:",
+                      text)
+    if change in ("number", "space", "blank"):
+        spans = {"number": [m.span() for m in re.finditer("[0-9]+", text)],
+                 "space": [(i, i) for i, c in enumerate(text) if c == " "],
+                 "blank": [(i, i) for i, c in enumerate(text) if c == "\n"]}
+        i, j = draw(st.sampled_from(spans[change]))
+        new = {"space": " ", "blank": "\n"}.get(change) or draw(
+            st.sampled_from(_NONCANONICAL)).format(text[i:j])
+        text = text[:i] + new + text[j:]
+    return text
+
+
+def _outcome(verify, text):
+    """``verify``'s (ok, message), or the type and message it raised."""
+    try:
+        return verify(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _line_reader_verify(text):
+    """``verify_certificate`` with the bulk reader off, so that every text
+    goes through ``certificate_from_text`` and ``trace_faces``."""
+    with mock.patch.object(em, "_read_flat", return_value=None):
+        return em.verify_certificate(text)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(text=st.one_of(_certificate_texts(), _layout_certificate_texts(),
+                      _mutated_certificate_texts()))
+@example(text="embedding 3 3 orientable\n0 1\n0 2\n2 1\nrot 0: 0 2\n"
+         "rot 1: 1 5\nrot 2: 3 4\nclaim faces=3 euler_genus=0 orientable\n")
+def test_bulk_reader_matches_line_reader(text):
+    """``verify_certificate`` answers every certificate text as the line
+    reader and ``trace_faces`` do: the same (ok, message), or the same
+    exception type and message."""
+    assert (_outcome(em.verify_certificate, text)
+            == _outcome(_line_reader_verify, text))
