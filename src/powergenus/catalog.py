@@ -56,15 +56,14 @@ def _e(label, recipe, order, spectrum, *tags) -> CatalogEntry:
 
 _ENTRIES: tuple[CatalogEntry, ...] = (
     # --- order 8 (curated) --------------------------------------------------
-    _e("[8,1]", "cyclic(8)", 8, {1, 2, 4, 8}, "table1", "order8-curated"),
+    _e("[8,1]", "cyclic(8)", 8, {1, 2, 4, 8}, "order8-curated"),
     _e("Z4xZ2", "direct(cyclic(4),cyclic(2))", 8, {1, 2, 4}, "no-gap-id", "order8-curated"),
     _e("Z2^3", "direct(cyclic(2),cyclic(2),cyclic(2))", 8, {1, 2}, "no-gap-id", "order8-curated"),
     _e("D8", "dihedral(8)", 8, {1, 2, 4}, "no-gap-id", "order8-curated"),
     _e("Q8", "dicyclic(2)", 8, {1, 2, 4}, "no-gap-id", "order8-curated"),
     # --- order 12 (complete: 5 groups) --------------------------------------
     _e("Z12", "cyclic(12)", 12, {1, 2, 3, 4, 6, 12}, "no-gap-id", "order12-complete"),
-    _e("[12,5]", "direct(cyclic(2),cyclic(6))", 12, {1, 2, 3, 6},
-       "table1", "table2", "order12-complete"),
+    _e("[12,5]", "direct(cyclic(2),cyclic(6))", 12, {1, 2, 3, 6}, "order12-complete"),
     _e("D12", "dihedral(12)", 12, {1, 2, 3, 6}, "no-gap-id", "order12-complete"),
     _e("A4", "alt(4)", 12, {1, 2, 3}, "no-gap-id", "order12-complete"),
     _e("Dic3", "dicyclic(3)", 12, {1, 2, 3, 4, 6}, "no-gap-id", "order12-complete"),
@@ -76,9 +75,9 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
        "no-gap-id", "order16-curated"),
     _e("Z2^4", "direct(cyclic(2),cyclic(2),cyclic(2),cyclic(2))", 16, {1, 2},
        "no-gap-id", "order16-curated"),
-    _e("[16,7]", "dihedral(16)", 16, {1, 2, 4, 8}, "table1", "order16-curated"),
-    _e("[16,8]", "semidihedral(16)", 16, {1, 2, 4, 8}, "table1", "order16-curated"),
-    _e("[16,9]", "dicyclic(4)", 16, {1, 2, 4, 8}, "table1", "order16-curated"),
+    _e("[16,7]", "dihedral(16)", 16, {1, 2, 4, 8}, "order16-curated"),
+    _e("[16,8]", "semidihedral(16)", 16, {1, 2, 4, 8}, "order16-curated"),
+    _e("[16,9]", "dicyclic(4)", 16, {1, 2, 4, 8}, "order16-curated"),
     _e("M16", "semidirect(cyclic(8),cyclic(2),power5)", 16, {1, 2, 4, 8},
        "no-gap-id", "order16-curated"),
     _e("Z2xD8", "direct(cyclic(2),dihedral(8))", 16, {1, 2, 4}, "no-gap-id", "order16-curated"),
@@ -87,8 +86,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     _e("Z18", "cyclic(18)", 18, {1, 2, 3, 6, 9, 18}, "no-gap-id", "order18-complete"),
     _e("Z3xZ6", "direct(cyclic(3),cyclic(6))", 18, {1, 2, 3, 6}, "no-gap-id", "order18-complete"),
     _e("D18", "dihedral(18)", 18, {1, 2, 3, 9}, "no-gap-id", "order18-complete"),
-    _e("[18,3]", "direct(cyclic(3),sym(3))", 18, {1, 2, 3, 6},
-       "table1", "table2", "order18-complete"),
+    _e("[18,3]", "direct(cyclic(3),sym(3))", 18, {1, 2, 3, 6}, "order18-complete"),
     _e("GD18", "semidirect(direct(cyclic(3),cyclic(3)),cyclic(2),invert)", 18,
        {1, 2, 3}, "no-gap-id", "order18-complete"),
     # --- order 24 (curated: all 15 isomorphism types) -----------------------
@@ -111,13 +109,11 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
        "no-gap-id", "order24-curated"),
     _e("S3xZ4", "direct(sym(3),cyclic(4))", 24, {1, 2, 3, 4, 6, 12},
        "no-gap-id", "order24-curated"),
-    _e("[24,7]", "direct(cyclic(2),dicyclic(3))", 24, {1, 2, 3, 4, 6},
-       "table1", "table2", "order24-curated"),
+    _e("[24,7]", "direct(cyclic(2),dicyclic(3))", 24, {1, 2, 3, 4, 6}, "order24-curated"),
     _e("[24,8]",
        "semidirect(direct(cyclic(3),direct(cyclic(2),cyclic(2))),cyclic(2),invert_swap)",
-       24, {1, 2, 3, 4, 6}, "table1", "table2", "order24-curated"),
-    _e("[24,14]", "direct(cyclic(2),cyclic(2),sym(3))", 24, {1, 2, 3, 6},
-       "table1", "table2", "order24-curated"),
+       24, {1, 2, 3, 4, 6}, "order24-curated"),
+    _e("[24,14]", "direct(cyclic(2),cyclic(2),sym(3))", 24, {1, 2, 3, 6}, "order24-curated"),
     # --- order 36 (complete: 14 groups) -------------------------------------
     _e("Z36", "cyclic(36)", 36, {1, 2, 3, 4, 6, 9, 12, 18, 36},
        "no-gap-id", "order36-complete"),
@@ -132,8 +128,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     _e("Z2^2:Z9", "semidirect(direct(cyclic(2),cyclic(2)),cyclic(9),cycle3)", 36,
        {1, 2, 3, 6, 9}, "no-gap-id", "order36-complete"),
     _e("S3xS3", "direct(sym(3),sym(3))", 36, {1, 2, 3, 6}, "no-gap-id", "order36-complete"),
-    _e("[36,11]", "direct(cyclic(3),alt(4))", 36, {1, 2, 3, 6},
-       "table1", "table2", "order36-complete"),
+    _e("[36,11]", "direct(cyclic(3),alt(4))", 36, {1, 2, 3, 6}, "order36-complete"),
     _e("Z3xDic3", "direct(cyclic(3),dicyclic(3))", 36, {1, 2, 3, 4, 6, 12},
        "no-gap-id", "order36-complete"),
     _e("Z6xS3", "direct(cyclic(6),sym(3))", 36, {1, 2, 3, 6}, "no-gap-id", "order36-complete"),
@@ -146,12 +141,14 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
        36, {1, 2, 3, 6}, "no-gap-id", "order36-complete"),
     # --- order 72 (curated) -------------------------------------------------
     _e("[72,43]", "perm(7; (4 5 6); (0 1 2); (0 1)(2 3); (0 1)(5 6))", 72,
-       {1, 2, 3, 4, 6}, "table1", "table2", "order72-curated"),
+       {1, 2, 3, 4, 6}, "order72-curated"),
 )
 
 _BY_LABEL = {e.label: e for e in _ENTRIES}
 assert len(_BY_LABEL) == len(_ENTRIES)
 
+#: The paper's Table 1 (orientable genus two) and Table 2 (its groups with
+#: three cyclic subgroups of order 6), in catalog order.
 TABLE1_LABELS = ("[8,1]", "[12,5]", "[16,7]", "[16,8]", "[16,9]", "[18,3]",
                  "[24,7]", "[24,8]", "[24,14]", "[36,11]", "[72,43]")
 TABLE2_LABELS = ("[12,5]", "[18,3]", "[24,7]", "[24,8]", "[24,14]",
@@ -362,9 +359,9 @@ class ValidationReport:
 
 
 def validate_all() -> ValidationReport:
-    """Rebuild and check every entry; verify pairwise non-isomorphism of the
-    complete slices and of the 15 groups of order 24, and the Table 1/2 tag
-    sets."""
+    """Rebuild every entry and check its claimed order and spectrum; check
+    the entry count of each complete slice, and pairwise non-isomorphism of
+    the complete slices and of the 15 groups of order 24."""
     fails: list[str] = []
     built: dict[str, FiniteGroup] = {}
     for ent in _ENTRIES:
@@ -384,12 +381,6 @@ def validate_all() -> ValidationReport:
                 if a.label in built and b.label in built and \
                         is_isomorphic(built[a.label], built[b.label]):
                     fails.append(f"{a.label} and {b.label} are isomorphic")
-    t1 = tuple(e.label for e in _ENTRIES if e.has_tag("table1"))
-    t2 = tuple(e.label for e in _ENTRIES if e.has_tag("table2"))
-    if t1 != TABLE1_LABELS:
-        fails.append(f"table1 tags {t1} != expected {TABLE1_LABELS}")
-    if t2 != TABLE2_LABELS:
-        fails.append(f"table2 tags {t2} != expected {TABLE2_LABELS}")
     return ValidationReport(len(_ENTRIES), tuple(fails))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
+from typing import Callable, NamedTuple, Sequence
 
 from . import catalog as cat
 from .errors import (InternalContradiction, OrderCapExceeded, UnknownRule)
@@ -22,8 +23,9 @@ from .powergraph import power_graph
 
 ORDER_CAP = 144
 
-#: 2-groups whose power graph has orientable genus exactly two.
-_GENUS_TWO_2GROUPS = ("[8,1]", "[16,7]", "[16,8]", "[16,9]")
+#: 2-groups of orientable genus two: Table 1 outside Table 2, in catalog order.
+_GENUS_TWO_2GROUPS = tuple(label for label in cat.TABLE1_LABELS
+                           if label not in cat.TABLE2_LABELS)
 
 _PLANAR_ORDERS = frozenset({1, 2, 3, 4})
 _REDUCIBLE_ORDERS = frozenset({1, 2, 3, 4})
@@ -59,8 +61,8 @@ class Verdict:
     Both are always set.  Exact values and reasons, when known, are in
     ``orientable_value`` / ``nonorientable_value`` and ``orientable_reason``
     / ``nonorientable_reason``; an orientable verdict of two also names the
-    matched ``table1_label``.  The trail holds the orientable steps, then
-    the nonorientable ones.
+    matched ``table1_label``.  The trail holds the T2.4 step, then the
+    orientable steps, then the nonorientable ones.
     """
 
     orientable: str
@@ -349,8 +351,10 @@ def satisfies_table2(g: FiniteGroup) -> bool:
     return prof.count == 3 and 3 in prof.pairwise_intersections
 
 
-def _has_disjoint_pairing(subs) -> bool:
-    """Two disjoint pairs of order-6 subgroups, each pair meeting in order 3."""
+def _has_disjoint_pairing(g: FiniteGroup) -> bool:
+    """Two disjoint pairs of g's four cyclic subgroups of order 6, each pair
+    meeting in order 3."""
+    subs = cyclic_subgroups_of_order(g, 6)
     assert len(subs) == 4
     for j in (1, 2, 3):
         rest = [k for k in (1, 2, 3) if k != j]
@@ -405,9 +409,8 @@ def _orientable(g: FiniteGroup, spectrum, trail: list) -> str:
         _apply(trail, "T3.3", {"label": label})
         return _apply(trail, "L2.5", _reduction_inputs(g, "orientable", 2))
     if prof.count == 4:
-        pairing = _has_disjoint_pairing(cyclic_subgroups_of_order(g, 6))
-        return _apply(trail, "T3.4",
-                      {**_six_inputs(prof), "has_disjoint_pairing": pairing})
+        return _apply(trail, "T3.4", {**_six_inputs(prof),
+                                      "has_disjoint_pairing": _has_disjoint_pairing(g)})
     return _apply(trail, "L4.5", _six_inputs(prof))
 
 
@@ -433,17 +436,17 @@ _REASONS = {"MT1.57": "nonplanar and genus != 2; exact genus outside the "
 
 
 def classify(g: FiniteGroup) -> Verdict:
-    """Both surfaces: T2.4, then for a nonplanar group that surface's
-    procedure, each with its own trail; the orientable trail comes first."""
+    """Both surfaces: T2.4 once, then for a nonplanar group each surface's
+    procedure in turn; the orientable steps come first."""
     if g.order > ORDER_CAP:
         raise OrderCapExceeded(
             f"classification checked for orders <= {ORDER_CAP}, got {g.order}")
     spectrum = order_spectrum(g)
     trail: list[CertificateStep] = []
+    planar = _apply(trail, "T2.4", _spectrum_inputs(spectrum))
     kinds, reasons = [], []
     for rest in (_orientable, _nonorientable):
-        kinds.append(_apply(trail, "T2.4", _spectrum_inputs(spectrum))
-                     or rest(g, spectrum, trail))
+        kinds.append(planar or rest(g, spectrum, trail))
         last = trail[-1]
         reasons.append(_REASONS.get(last.rule_id, "").format(**last.inputs)
                        or None)
@@ -521,69 +524,49 @@ class LemmaReport:
     detail: str
 
 
-def _check_two_six() -> LemmaReport:
-    entries = []
-    for order in (12, 18, 36):
-        entries.extend(cat.enumerate_complete(order))
-    witnesses = tuple(e.label for e in entries
-                      if six_profile(cat.get(e.label)).count == 2)
-    return LemmaReport(
-        "L3.1", not witnesses, len(entries), witnesses,
+class _Lemma(NamedTuple):
+    """A lemma checked over the catalog: the entries it scans, the condition
+    on a group, and the labels that meet it (none, for "no group does")."""
+
+    scan: Callable[[], Sequence[cat.CatalogEntry]]
+    holds: Callable[[FiniteGroup], bool]
+    expected: tuple[str, ...]
+    claim: str
+
+
+LEMMA_REGISTRY = {
+    "L3.1": _Lemma(
+        lambda: [e for k in (12, 18, 36) for e in cat.enumerate_complete(k)],
+        lambda g: six_profile(g).count == 2, (),
         "no group has exactly two cyclic subgroups of order 6 "
-        "(complete orders 12, 18, 36)")
-
-
-def _check_table2() -> LemmaReport:
-    hits = {e.label for e in cat.entries() if satisfies_table2(cat.get(e.label))}
-    expected = set(cat.TABLE2_LABELS)
-    return LemmaReport(
-        "T3.3", hits == expected, len(cat.entries()),
-        tuple(sorted(hits ^ expected)),
+        "(complete orders 12, 18, 36)"),
+    "T3.3": _Lemma(
+        cat.entries, satisfies_table2, cat.TABLE2_LABELS,
         "exactly the seven classified groups satisfy: spectrum within "
-        "{1,2,3,4,6}, three cyclic order-6 subgroups, an order-3 intersection")
-
-
-def _check_four_six() -> LemmaReport:
-    witnesses = []
-    for entry in cat.entries():
-        g = cat.get(entry.label)
-        if six_profile(g).count == 4:
-            subs = cyclic_subgroups_of_order(g, 6)
-            if _has_disjoint_pairing(subs):
-                witnesses.append(entry.label)
-    return LemmaReport(
-        "T3.4", not witnesses, len(cat.entries()), tuple(witnesses),
-        "no group has four cyclic order-6 subgroups forming two disjoint "
-        "pairs with order-3 intersections")
-
-
-def _check_2groups() -> LemmaReport:
-    hits = []
-    for entry in cat.entries():
-        if entry.expected_order & (entry.expected_order - 1):
-            continue  # not a 2-group
-        g = cat.get(entry.label)
-        if (order_spectrum(g).as_set == frozenset({1, 2, 4, 8})
-                and len(cyclic_subgroups_of_order(g, 8)) == 1):
-            hits.append(entry.label)
-    expected = set(_GENUS_TWO_2GROUPS)
-    return LemmaReport(
-        "L4.2", set(hits) == expected, len(cat.entries()),
-        tuple(sorted(set(hits) ^ expected)),
-        "exactly the four classified 2-groups have a unique cyclic order-8 "
-        "subgroup with spectrum {1,2,4,8}")
-
-
-#: The lemmas checked over the catalog, each with its check.
-LEMMA_REGISTRY = {"L3.1": _check_two_six, "T3.3": _check_table2,
-                  "T3.4": _check_four_six, "L4.2": _check_2groups}
+        "{1,2,3,4,6}, three cyclic order-6 subgroups, an order-3 intersection"),
+    "T3.4": _Lemma(
+        cat.entries, lambda g: six_profile(g).count == 4 and _has_disjoint_pairing(g),
+        (), "no group has four cyclic order-6 subgroups forming two disjoint "
+        "pairs with order-3 intersections"),
+    "L4.2": _Lemma(
+        cat.entries, lambda g: (order_spectrum(g).as_set == {1, 2, 4, 8}
+                                and len(cyclic_subgroups_of_order(g, 8)) == 1),
+        _GENUS_TWO_2GROUPS, "exactly the four classified 2-groups have a "
+        "unique cyclic order-8 subgroup with spectrum {1,2,4,8}"),
+}
 
 
 def verify_lemma(rule_id: str) -> LemmaReport:
+    """Scan the lemma's entries; the witnesses are the groups on which the
+    condition and the expected labels disagree."""
     if rule_id not in LEMMA_REGISTRY:
         raise UnknownRule(
             f"rule {rule_id!r} not in registry {tuple(LEMMA_REGISTRY)}")
-    return LEMMA_REGISTRY[rule_id]()
+    scan, holds, expected, claim = LEMMA_REGISTRY[rule_id]
+    ents = scan()
+    hits = {e.label for e in ents if holds(cat.get(e.label))}
+    witnesses = tuple(sorted(hits ^ set(expected)))
+    return LemmaReport(rule_id, not witnesses, len(ents), witnesses, claim)
 
 
 # ---------------------------------------------------------------------------

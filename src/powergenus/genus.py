@@ -324,14 +324,13 @@ def crosscap_exact(graph: Graph, budget: Budget | None = None) -> GenusResult:
 class _Class:
     """One isomorphism class of graph given to ``_exact``: its first graph
     (the representative), the representative's class key and stable
-    colouring (see ``_refine``), its planarity decision once made, and its
-    results by (signed, max_nodes, max_seconds)."""
+    colouring (see ``_refine``), and its planarity decision once made.  Its
+    results are kept in ``_ANSWERS`` under the representative."""
 
     graph: Graph
     key: tuple
     colours: list[int]
     planarity: PlanarityResult | None = None
-    results: dict = field(default_factory=dict)
 
 
 #: The classes ``_exact`` has met in this process, by (n, m, refinement
@@ -474,32 +473,32 @@ def _split_colour(adj: list[set[int]], colours: list[int],
 
 
 def _exact(graph: Graph, budget: Budget | None, signed: bool) -> GenusResult:
-    """Both surfaces, through the entry of graph's isomorphism class: a
-    result the entry holds for this surface and budget is served again
-    (path ``"cache"``), else it is computed on the representative and kept.
-    The budget is part of the key, so bounds found under one budget are
-    never served to another.  What is returned for a graph is remembered in
-    ``_ANSWERS``, so a graph equal to one asked before is answered with no
-    class lookup.  Callers get their own certificate dicts."""
+    """Both surfaces, through ``_ANSWERS``: a graph equal to one asked
+    before is answered with no class lookup.  Otherwise the representative
+    of graph's isomorphism class answers: its result for this surface and
+    budget is served again (path ``"cache"``), or computed on it and kept,
+    and carried onto graph when graph is another member.  The budget is
+    part of the key, so bounds found under one budget are never served to
+    another.  Callers get their own certificate dicts."""
     budget = budget or Budget()
     key = (signed, budget.max_nodes, budget.max_seconds)
     asked = _ANSWERS.get((graph, key))
     if asked is not None:
         return _served(asked, "cache")
     entry, phi = _class_of(graph)
-    res = entry.results.get(key)
+    res = _ANSWERS.get((entry.graph, key))
     path = "cache"
     if res is None:
-        res = entry.results[key] = _solve(entry, budget, signed)
+        res = _ANSWERS[entry.graph, key] = _solve(entry, budget, signed)
         path = res.path
     if phi is not None:
-        res = _carry(res, entry.graph, graph, phi)
-    _ANSWERS[graph, key] = res
+        res = _ANSWERS[graph, key] = _carry(res, entry.graph, graph, phi)
     return _served(res, path)
 
 
 #: What ``_exact`` returned, by (graph, (signed, max_nodes, max_seconds)),
-#: certificates carried onto graph.
+#: certificates carried onto graph; a class representative's entry is its
+#: class's result.
 _ANSWERS: dict[tuple, GenusResult] = {}
 
 

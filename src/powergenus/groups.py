@@ -37,9 +37,6 @@ ISO_ORDER_CAP = 144
 # Constructors refuse larger orders before allocating the n x n table
 # (4 MiB of int32 at this order).
 MAX_ORDER = 1024
-# FiniteGroup.validate compares all n^3 triples in one gather up to this
-# order, where that is cheaper than Light's test on a generating set
-_FULL_ASSOC_MAX = 40
 
 
 def _check_order(n: int) -> None:
@@ -145,7 +142,6 @@ class FiniteGroup:
         (every element has a left and a right inverse) is a group, so a
         table for which ``_table_generators`` finds no group is not
         associative either.
-        Small tables compare all triples in one gather instead.
         """
         t = self.table
         n = self.order
@@ -156,15 +152,9 @@ class FiniteGroup:
         zero = t == 0
         if not ((zero.sum(axis=0) == 1).all() and (zero.sum(axis=1) == 1).all()):
             raise InvalidParameter("some element has no two-sided inverse")
-        if n <= _FULL_ASSOC_MAX:
-            # [x, g, y] -> (x*g)*y against x*(g*y), over every g
-            associative = np.array_equal(t[t], t[:, t])
-        else:
-            s = _table_generators(t)
-            # per g: [x, y] -> (x*g)*y against x*(g*y)
-            associative = s is not None and all(
-                np.array_equal(t[t[:, g]], t[:, t[g]]) for g in s)
-        if not associative:
+        s = _table_generators(t)
+        # per g: [x, y] -> (x*g)*y against x*(g*y)
+        if s is None or not all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in s):
             raise InvalidParameter("table is not associative")
 
     # -- inverses, powers and element orders ---------------------------------

@@ -143,6 +143,10 @@ def test_lemma_31_scan_size():
     assert report.scanned == 24 and not report.witnesses
 
 
+def test_genus_two_2groups_are_table1_outside_table2():
+    assert cls._GENUS_TWO_2GROUPS == ("[8,1]", "[16,7]", "[16,8]", "[16,9]")
+
+
 def test_cross_validate_consistency():
     budget = Budget(max_nodes=200_000, max_seconds=60)
     for g in (gr.symmetric(3), gr.cyclic(7), cat.get("D12"),
@@ -205,7 +209,7 @@ def _pinned_groups():
 
 #: sha256 of every classification of ``_pinned_groups``, as hashed below.
 TRAIL_DIGEST = \
-    "af1c8c63ea26473956fc812a5bcb405cb972dc52b8c9420cf63b6127e8964ec1"
+    "aa403514d64b927c74fcd8de7815aee66bd81efae1aa4f25785263ddab85b5a1"
 
 
 def test_trails_pinned():

@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 
 import powergenus.catalog as cat
+import powergenus.classifier as cls
 import powergenus.cli as cli
 import powergenus.embed as em
 import powergenus.powergraph as pg
@@ -303,7 +304,7 @@ def test_classify_all_builds_each_group_once(capsys):
 #: byte of the catalog-wide output.
 CLI_DIGESTS = {
     ("classify", "--all-catalog", "--format", "records", "--no-timestamp"):
-        "20384eaa400a880a7b3d255e6d4694475eec2ffac8dd55e5b1e1199366de55a8",
+        "8c9e478eba6a1ecee4d40b2c56712df2f864b86d8d855082b4288cbb79650b7e",
     ("classify", "--all-catalog", "--no-timestamp"):
         "d5c925f3656fe47d4ad75e75d0b832f09fe8fcbf4c299b0b6d255a65f33993d0",
     ("report", "table1", "--no-timestamp"):
@@ -339,6 +340,21 @@ def test_report_lemma(capsys):
     code, out, _ = run(capsys, "report", "lemma", "L3.1", "--no-timestamp")
     assert code == 0
     assert "PASS: 0 witnesses in 24 groups scanned" in out
+
+
+def test_report_lemma_fail_exits_1(capsys, monkeypatch):
+    """A group that meets a lemma's condition but is not expected fails the
+    scan and is its one witness: ``report lemma`` prints FAIL and the
+    witness, and exits 1."""
+    lemma = cls.LEMMA_REGISTRY["T3.3"]
+    monkeypatch.setitem(cls.LEMMA_REGISTRY, "T3.3", lemma._replace(
+        expected=tuple(lbl for lbl in lemma.expected if lbl != "[12,5]")))
+    report = cls.verify_lemma("T3.3")
+    assert not report.passed and report.witnesses == ("[12,5]",)
+    code, out, _ = run(capsys, "report", "lemma", "T3.3", "--no-timestamp")
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL: 1 witnesses in 56 groups scanned"
+    assert "witness: [12,5]" in out.splitlines()
 
 
 def test_report_lemma_unknown(capsys):

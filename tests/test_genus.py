@@ -524,6 +524,26 @@ def test_graph_asked_again_answered_from_memo(monkeypatch, fresh_cache):
     assert hit.path == "search" and lookups[0]
 
 
+def test_representative_served_what_a_copy_triggered(monkeypatch, fresh_cache):
+    """A block's class is made by its genus; its crosscap is first asked
+    of a relabelled copy, which searches on the block, the class's
+    representative.  The block's own crosscap is then served from that
+    result: path "cache", no search and no planarity call."""
+    block = _dic3_block()
+    gn.genus_exact(block)
+    searches = _counting(monkeypatch, "search_embedding")
+    planarity = _counting(monkeypatch, "is_planar")
+    first = gn.crosscap_exact(_relabelled(block, 5))
+    assert first.path == "search" and searches == [block]
+    del searches[:]
+    hit = gn.crosscap_exact(block)
+    assert searches == [] and planarity == [] and hit.path == "cache"
+    assert (hit.kind, hit.lower, hit.upper) \
+        == (first.kind, first.lower, first.upper)
+    uc = hit.upper_certificate
+    assert em.trace_faces(block, uc["rotation"]) == uc["trace"]
+
+
 def test_genus_exact_small():
     assert gn.genus_exact(pg.complete_graph(4)).value == 0
     assert gn.genus_exact(pg.complete_graph(5)).value == 1

@@ -253,9 +253,7 @@ Z2_4 = gr.direct_product(gr.direct_product(gr.cyclic(2), gr.cyclic(2)),
                          gr.direct_product(gr.cyclic(2), gr.cyclic(2)))
 
 
-# orders up to 40 take the all-triples check, larger ones Light's test;
-# with light_only every table takes Light's test
-@pytest.mark.parametrize("light_only", [False, True])
+# Light's test on orders 8 to 64, against the triple loop
 @pytest.mark.parametrize("build, tables", [
     pytest.param(lambda: gr.dihedral(8), 40, id="D8"),
     pytest.param(lambda: gr.direct_product(gr.cyclic(2), gr.cyclic(6)), 30,
@@ -266,10 +264,7 @@ Z2_4 = gr.direct_product(gr.direct_product(gr.cyclic(2), gr.cyclic(2)),
     pytest.param(lambda: gr.direct_product(Z2_4, gr.cyclic(4)), 10,
                  id="Z2^4xZ4"),
 ])
-def test_associativity_check_matches_triple_loop(build, tables, light_only,
-                                                 monkeypatch):
-    if light_only:
-        monkeypatch.setattr(gr, "_FULL_ASSOC_MAX", 0)
+def test_associativity_check_matches_triple_loop(build, tables):
     g = build()
     rng = np.random.default_rng(g.order)
     outcomes = set()
